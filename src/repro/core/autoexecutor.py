@@ -99,10 +99,23 @@ class AutoExecutorRule:
         timings["model_load_ms"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        feats = featurize_plan(df)
-        vector = feats.as_vector()
+        vector = featurize_plan(df).as_vector()
         timings["featurize_ms"] = (time.perf_counter() - t0) * 1e3
 
+        return self._decide(model, vector, query_name, timings)
+
+    def predict_from_features(self, vector, *, query_name: str = "?") -> Prediction:
+        """Rule body for pre-extracted features (simulation-side path)."""
+        return self._decide(self._load(), list(vector), query_name, {})
+
+    def _decide(
+        self,
+        model: PortableModel,
+        vector: list[float],
+        query_name: str,
+        timings: dict[str, float],
+    ) -> Prediction:
+        """Predict PPM parameters, evaluate the candidates and select n̂."""
         t0 = time.perf_counter()
         params = model.predict(vector)[0]
         timings["inference_ms"] = (time.perf_counter() - t0) * 1e3
@@ -121,22 +134,6 @@ class AutoExecutorRule:
             n_selected=n_sel,
             factorization=factorize_cores(n_sel * 4),
             timings_ms=timings,
-        )
-
-    def predict_from_features(self, vector, *, query_name: str = "?") -> Prediction:
-        """Rule body for pre-extracted features (simulation-side path)."""
-        model = self._load()
-        params = model.predict(list(vector))[0]
-        ppm = ppm_mod.from_params(self.family, params)
-        times = {int(n): float(ppm.time(int(n))) for n in self.candidates}
-        n_sel = self.select(times)
-        return Prediction(
-            query=query_name,
-            params=[float(p) for p in params],
-            ppm=ppm,
-            times=times,
-            n_selected=n_sel,
-            factorization=factorize_cores(n_sel * 4),
         )
 
 

@@ -1,8 +1,12 @@
 """Compile-time query featurization (paper Table 2, §3.4/§4.4).
 
-Walks the *real* Catalyst optimized logical plan of a Spark SQL query
-(via py4j, ``df._jdf.queryExecution().optimizedPlan()``) and emits the
-paper's feature vector:
+One py4j walk of the *real* Catalyst optimized logical plan of a Spark
+SQL query (``df._jdf.queryExecution().optimizedPlan()``) copies it into
+a pure-Python :class:`PlanNode` skeleton. Everything downstream is
+JVM-free: :func:`plan_features` derives the paper's feature vector from
+the skeleton, and the cluster simulator builds its task graph from it.
+Training (dataset build) and the live rule featurize through this same
+path. The feature vector holds:
 
 - count of each operator type in a fixed 14-operator vocabulary
   ("14 operators for TPC-DS", Table 2),
@@ -20,9 +24,10 @@ with the same features as at training time (§3.4).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 #: Fixed operator vocabulary — one count feature per entry (Table 2 lists
 #: "14 operators for TPC-DS"). Node names are Catalyst ``nodeName`` values
@@ -76,60 +81,13 @@ def _node_size_bytes(node) -> int:
     return size if isinstance(size, int) else int(size.toString())
 
 
-def _walk(node, depth: int, acc: dict) -> None:
-    name = node.nodeName()
-    acc["counts"][name] = acc["counts"].get(name, 0) + 1
-    acc["num_operators"] += 1
-    acc["max_depth"] = max(acc["max_depth"], depth)
-    size = _node_size_bytes(node)
-    width = max(1, 8 * node.output().size())  # crude avg row width estimate
-    acc["rows_processed"] += size // width
-    children = node.children()
-    n = children.size()
-    if n == 0:
-        acc["num_sources"] += 1
-        acc["input_bytes"] += size
-    for i in range(n):
-        _walk(children.apply(i), depth + 1, acc)
-
-
-def featurize_plan(df: DataFrame) -> PlanFeatures:
-    """Feature vector of Table 2 for a DataFrame's optimized logical plan."""
-    plan = df._jdf.queryExecution().optimizedPlan()
-    acc = {
-        "counts": {},
-        "num_operators": 0,
-        "max_depth": 0,
-        "num_sources": 0,
-        "input_bytes": 0,
-        "rows_processed": 0,
-    }
-    _walk(plan, 1, acc)
-    values: dict[str, float] = {
-        f"num_{op.lower()}": float(acc["counts"].get(op, 0))
-        for op in OPERATOR_VOCABULARY
-    }
-    values.update(
-        num_operators=float(acc["num_operators"]),
-        max_depth=float(acc["max_depth"]),
-        num_sources=float(acc["num_sources"]),
-        input_bytes=float(acc["input_bytes"]),
-        rows_processed=float(acc["rows_processed"]),
-    )
-    return PlanFeatures(values=values)
-
-
-def featurize_sql(spark: SparkSession, sql: str) -> PlanFeatures:
-    """Featurize a SQL query against the currently registered temp views."""
-    return featurize_plan(spark.sql(sql))
-
-
 @dataclass
 class PlanNode:
     """Lightweight, pure-Python copy of a Catalyst plan node.
 
-    Extracted once per query via py4j and then consumed JVM-free by the
-    cluster simulator's task-graph builder (``repro.cluster.taskgraph``).
+    Extracted once per query via py4j and then consumed JVM-free by
+    :func:`plan_features` and by the cluster simulator's task-graph
+    builder (``repro.cluster.taskgraph``).
     """
 
     name: str
@@ -141,6 +99,9 @@ class PlanNode:
         yield self
         for c in self.children:
             yield from c.walk()
+
+    def height(self) -> int:
+        return 1 + max((c.height() for c in self.children), default=0)
 
 
 def _extract(node) -> PlanNode:
@@ -156,3 +117,29 @@ def _extract(node) -> PlanNode:
 def extract_skeleton(df: DataFrame) -> PlanNode:
     """Pure-Python skeleton of the optimized logical plan of ``df``."""
     return _extract(df._jdf.queryExecution().optimizedPlan())
+
+
+def plan_features(root: PlanNode) -> PlanFeatures:
+    """Feature vector of Table 2 for a plan skeleton."""
+    nodes = list(root.walk())
+    leaves = [n for n in nodes if not n.children]
+    counts = Counter(n.name for n in nodes)
+    values: dict[str, float] = {
+        f"num_{op.lower()}": float(counts[op]) for op in OPERATOR_VOCABULARY
+    }
+    values.update(
+        num_operators=float(len(nodes)),
+        max_depth=float(root.height()),
+        num_sources=float(len(leaves)),
+        input_bytes=float(sum(n.size_bytes for n in leaves)),
+        # 8 bytes per output attribute: a crude avg row width estimate
+        rows_processed=float(
+            sum(n.size_bytes // max(1, 8 * n.width) for n in nodes)
+        ),
+    )
+    return PlanFeatures(values=values)
+
+
+def featurize_plan(df: DataFrame) -> PlanFeatures:
+    """Feature vector of Table 2 for a DataFrame's optimized logical plan."""
+    return plan_features(extract_skeleton(df))

@@ -140,9 +140,11 @@ def from_params(family: str, params) -> PPM:
 def error_metric(actual: dict[int, float], predicted: dict[int, float]) -> float:
     """E(n)-style aggregate error over a set of queries at one n (Eq. 6).
 
-    Arguments map query → time; returns Σ|t̂ - t| / Σt.
+    Arguments map query → time; returns Σ|t̂ - t| / Σt over the queries
+    of ``predicted`` that are also in ``actual``, summed in the insertion
+    order of ``predicted``.
     """
-    keys = sorted(set(actual) & set(predicted))
+    keys = [k for k in predicted if k in actual]
     num = sum(abs(predicted[k] - actual[k]) for k in keys)
     den = sum(actual[k] for k in keys)
     return num / den if den else 0.0

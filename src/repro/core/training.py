@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.parameter_model import ParameterModel, TrainingExample
-from repro.core.ppm import PPM
+from repro.core.ppm import PPM, error_metric
 
 #: the executor-count grid of §5.1
 N_GRID: tuple[int, ...] = (1, 3, 8, 16, 32, 48)
@@ -154,12 +154,12 @@ def error_by_n(
     for fr in fold_results:
         source = fr.fitted_train if on_train else fr.predicted
         for n in ns:
-            num = den = 0.0
-            for q, model in source.items():
-                actual = by_name[q].actual_times[n]
-                num += abs(model.time(n) - actual)
-                den += actual
-            per_fold[n].append(num / den if den else 0.0)
+            per_fold[n].append(
+                error_metric(
+                    {q: by_name[q].actual_times[n] for q in source},
+                    {q: model.time(n) for q, model in source.items()},
+                )
+            )
     return {
         n: (float(np.mean(v)), float(np.std(v))) for n, v in per_fold.items()
     }
@@ -169,9 +169,10 @@ def sparklens_error_by_n(
     records: list[QueryRecord], *, ns: tuple[int, ...] = N_GRID
 ) -> dict[int, float]:
     """E(n) of raw Sparklens estimates against actual times (series "S")."""
-    out = {}
-    for n in ns:
-        num = sum(abs(r.sparklens_times[n] - r.actual_times[n]) for r in records)
-        den = sum(r.actual_times[n] for r in records)
-        out[n] = num / den if den else 0.0
-    return out
+    return {
+        n: error_metric(
+            {r.name: r.actual_times[n] for r in records},
+            {r.name: r.sparklens_times[n] for r in records},
+        )
+        for n in ns
+    }

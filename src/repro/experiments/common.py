@@ -4,7 +4,8 @@
 one scale factor:
 
 1. materialize the TPC-DS-lite tables and compile all 103 queries
-   through Catalyst (features + plan skeletons),
+   through Catalyst and walk each optimized plan once into a skeleton,
+   from which the Table-2 features are derived,
 2. ground truth: simulate each query at n ∈ {1,3,8,16,32,48} several
    times, discard outliers outside ±1.5×IQR, average (§5.1),
 3. Sparklens: one run at n=16, post-hoc estimates for all n ∈ [1,48].
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.features import PlanNode, featurize_plan
+from repro.core.features import PlanNode, extract_skeleton, plan_features
 from repro.core.training import N_GRID, QueryRecord
 from repro.cluster.allocation import StaticAllocation
 from repro.cluster.simulator import SimParams, simulate
@@ -160,17 +161,14 @@ def build_dataset(
         cached = load_cached_dataset(sf, cache_root=cache_root)
         if cached is not None:
             return cached
-    from repro.core.features import extract_skeleton
-
     data_root = data_root or os.path.join(cache_root, "data")
     materialize(spark, sf=sf, root=data_root)
     queries_doc = []
     records: list[QueryRecord] = []
     skeletons: dict[str, PlanNode] = {}
     for q in QUERIES:
-        df = spark.sql(q.sql)
-        feats = featurize_plan(df).as_vector()
-        skel = extract_skeleton(df)
+        skel = extract_skeleton(spark.sql(q.sql))
+        feats = plan_features(skel).as_vector()
         graph = build_task_graph(q.name, skel)
         actual = ground_truth_times(graph, runs=runs)
         sl = sparklens_times(graph)

@@ -1,50 +1,18 @@
-"""Ordinary least-squares linear regression (scikit-learn substitute).
+"""Ordinary least-squares line fit (scikit-learn substitute).
 
 Used to fit the PPM parameters from (n, t(n)) samples exactly as §3.4 of
 the paper: a log-log fit for the power-law region of ``AE_PL`` and a
-``t`` vs ``1/n`` fit for ``AE_AL``. Kept deliberately tiny — a closed-form
-normal-equation solve over a handful of points.
+``t`` vs ``1/n`` fit for ``AE_AL``. Kept deliberately tiny — a
+least-squares solve over a handful of points.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-class LinearRegression:
-    """Least-squares fit of ``y = X @ coef_ + intercept_``.
-
-    Mirrors the parts of ``sklearn.linear_model.LinearRegression`` that the
-    reproduction needs: ``fit``, ``predict``, ``coef_``, ``intercept_``.
-    """
-
-    def __init__(self) -> None:
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        A = np.hstack([X, np.ones((X.shape[0], 1))])
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        self.coef_ = sol[:-1]
-        self.intercept_ = float(sol[-1])
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.coef_ is None:
-            raise RuntimeError("LinearRegression is not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        return X @ self.coef_ + self.intercept_
-
-
 def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Fit ``y = slope * x + intercept`` and return ``(slope, intercept)``.
-
-    Convenience wrapper for the two single-feature PPM parameter fits.
-    """
-    m = LinearRegression().fit(np.asarray(x, dtype=float)[:, None], y)
-    return float(m.coef_[0]), float(m.intercept_)
+    """Fit ``y = slope * x + intercept`` and return ``(slope, intercept)``."""
+    x = np.asarray(x, dtype=float)
+    A = np.column_stack([x, np.ones_like(x)])
+    (slope, intercept), *_ = np.linalg.lstsq(A, np.asarray(y, dtype=float), rcond=None)
+    return float(slope), float(intercept)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.autoexecutor import AutoExecutorRule, Prediction, train_and_register
+from repro.core.features import featurize_plan
 from repro.core.parameter_model import TrainingExample
 from repro.core.ppm import AmdahlPPM, PowerLawPPM
 from repro.ml.portable import ModelRegistry
@@ -105,6 +106,15 @@ class TestRuleOnSparkPlan:
         # §5.6 timing instrumentation present
         for key in ("model_load_ms", "featurize_ms", "inference_ms", "selection_ms"):
             assert pred.timings_ms[key] >= 0
+
+    def test_apply_matches_predict_from_features(self, spark, tpcds_tables, registry):
+        """The live rule and the feature path make the same decision."""
+        rule = AutoExecutorRule(registry=registry, model_name="ae_pl", family="AE_PL")
+        df = spark.sql(query_by_name("t7_ss_star_2000").sql)
+        live = rule.apply(df)
+        offline = rule.predict_from_features(featurize_plan(df).as_vector())
+        assert live.params == offline.params
+        assert live.n_selected == offline.n_selected
 
     def test_model_cached_after_first_apply(self, spark, tpcds_tables, registry):
         rule = AutoExecutorRule(registry=registry, model_name="ae_pl", family="AE_PL")

@@ -1,5 +1,10 @@
-"""Tests for the Table-2 featurizer over real Catalyst plans."""
-import pytest
+"""Tests for the Table-2 featurizer over real Catalyst plans and skeletons."""
+import glob
+import json
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import (
     FEATURE_NAMES,
@@ -7,9 +12,16 @@ from repro.core.features import (
     PlanNode,
     extract_skeleton,
     featurize_plan,
-    featurize_sql,
+    plan_features,
 )
+from repro.experiments.common import DEFAULT_CACHE, _skeleton_from_json
 from repro.workloads.tpcds_lite import query_by_name
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def featurize_sql(spark, sql):
+    return featurize_plan(spark.sql(sql))
 
 
 class TestFeatureSchema:
@@ -101,3 +113,56 @@ class TestSkeleton:
     def test_walk_covers_all_nodes(self):
         tree = PlanNode("A", 1, 1, [PlanNode("B", 1, 1, []), PlanNode("C", 1, 1, [])])
         assert [n.name for n in tree.walk()] == ["A", "B", "C"]
+
+
+def _nodes(children):
+    # vocabulary names plus one name outside it
+    return st.builds(
+        PlanNode,
+        name=st.sampled_from(OPERATOR_VOCABULARY + ("SubqueryAlias",)),
+        size_bytes=st.integers(0, 10**12),
+        width=st.integers(0, 40),
+        children=children,
+    )
+
+
+plan_trees = st.recursive(
+    _nodes(st.just([])),
+    lambda kids: _nodes(st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=20,
+)
+
+
+def _levels(tree: PlanNode) -> int:
+    level, n = [tree], 0
+    while level:
+        n += 1
+        level = [c for node in level for c in node.children]
+    return n
+
+
+class TestPlanFeatures:
+    @given(tree=plan_trees)
+    @settings(max_examples=200, deadline=None)
+    def test_invariants_on_random_trees(self, tree):
+        v = plan_features(tree).values
+        nodes = list(tree.walk())
+        leaves = [n for n in nodes if not n.children]
+        assert v["num_operators"] == len(nodes)
+        assert v["num_sources"] == len(leaves)
+        assert v["input_bytes"] == sum(n.size_bytes for n in leaves)
+        assert v["max_depth"] == _levels(tree)
+        vocab = sum(v[f"num_{op.lower()}"] for op in OPERATOR_VOCABULARY)
+        assert vocab <= v["num_operators"]
+
+    def test_stored_features_match_skeletons(self):
+        """Every cached dataset's features derive exactly from its skeletons."""
+        cached = glob.glob(os.path.join(DEFAULT_CACHE, "dataset_sf*.json"))
+        assert cached, f"no dataset_sf*.json under {DEFAULT_CACHE}"
+        paths = cached + [os.path.join(REPO, "perfbench", "data", "dataset_sf0.1.json")]
+        for path in paths:
+            with open(path) as f:
+                doc = json.load(f)
+            for q in doc["queries"]:
+                derived = plan_features(_skeleton_from_json(q["skeleton"])).as_vector()
+                assert derived == q["features"], (path, q["name"])

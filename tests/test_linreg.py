@@ -1,41 +1,13 @@
-"""Unit tests for the linear-regression substrate."""
+"""Unit tests for the least-squares line fit behind the PPM fits."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.linreg import LinearRegression, fit_line
+from repro.ml.linreg import fit_line
 
 
 class TestLinearRegression:
-    def test_exact_line_1d(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        y = 2.5 * x - 1.0
-        m = LinearRegression().fit(x, y)
-        assert m.coef_[0] == pytest.approx(2.5)
-        assert m.intercept_ == pytest.approx(-1.0)
-
-    def test_exact_plane_2d(self):
-        rng = np.random.default_rng(0)
-        X = rng.random((50, 2))
-        y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 0.5
-        m = LinearRegression().fit(X, y)
-        assert np.allclose(m.coef_, [3.0, -2.0])
-        assert m.intercept_ == pytest.approx(0.5)
-
-    def test_predict_matches_formula(self):
-        X = np.array([[1.0], [2.0]])
-        m = LinearRegression().fit(X, np.array([2.0, 4.0]))
-        assert np.allclose(m.predict(np.array([[3.0]])), [6.0])
-
-    def test_predict_accepts_1d(self):
-        m = LinearRegression().fit(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
-        assert m.predict(np.array([2.0]))[0] == pytest.approx(5.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            LinearRegression().predict(np.array([[1.0]]))
-
     def test_least_squares_on_noisy_data(self):
         rng = np.random.default_rng(1)
         x = np.linspace(0, 10, 200)

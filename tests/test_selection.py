@@ -1,5 +1,7 @@
 """Unit tests for configuration selection (§5.3, §3.3)."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ppm import AmdahlPPM, PowerLawPPM
 from repro.core.selection import (
@@ -55,6 +57,17 @@ class TestLimitedSlowdown:
             if n > 1:
                 assert times[n - 1] > h * t_min  # smallest such n
 
+    @given(
+        s=st.floats(0.0, 1e4),
+        p=st.floats(1e-3, 1e5),
+        hs=st.lists(st.floats(1.0, 5.0), min_size=2, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_n_nonincreasing_in_h(self, s, p, hs):
+        times = amdahl_times(s, p)
+        sel = [limited_slowdown(times, h) for h in sorted(hs)]
+        assert sel == sorted(sel, reverse=True)
+
     def test_ae_al_always_selects_48_at_h1(self):
         """§5.3: 'AE_AL always select the maximum value of n (=48)'."""
         for s, p in ((10, 100), (50, 900), (0, 5)):
@@ -62,14 +75,19 @@ class TestLimitedSlowdown:
 
 
 class TestElbowPoint:
-    def test_ae_al_elbow_is_7_for_any_parameters(self):
+    @given(s=st.floats(1e-3, 1e5), p=st.floats(1e-3, 1e5))
+    @example(s=0.0, p=1.0)
+    @example(s=40.0, p=600.0)
+    @example(s=100.0, p=50.0)
+    @example(s=3.0, p=1e4)
+    @settings(max_examples=300, deadline=None)
+    def test_ae_al_elbow_is_7_for_any_parameters(self, s, p):
         """Fig 11: AE_AL always selected L=7 — analytic property.
 
         For t = s + p/n on the integer grid [1, 48], the normalized slope
         is 48/(n(n-1)) independent of s and p, crossing 1 between 7 and 8.
         """
-        for s, p in ((0.0, 1.0), (40.0, 600.0), (100.0, 50.0), (3.0, 1e4)):
-            assert elbow_point(amdahl_times(s, p)) == 7
+        assert elbow_point(amdahl_times(s, p)) == 7
 
     def test_power_law_elbow_moves_with_exponent(self):
         shallow = PowerLawPPM(a=-0.3, b=100.0, m=0.0)

@@ -1,6 +1,8 @@
 """Unit tests for the Sparklens reimplementation (§3.2)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import StaticAllocation
 from repro.cluster.simulator import simulate
@@ -84,3 +86,21 @@ class TestSparklens:
         assert rep.e_c == 4
         for total, crit in rep.cluster_work:
             assert total >= crit > 0
+
+
+positive = st.floats(0.0, 1e5, allow_nan=False)
+
+
+@given(
+    driver=positive,
+    clusters=st.lists(st.tuples(positive, positive), max_size=8),
+    e_c=st.integers(1, 8),
+)
+@settings(max_examples=200, deadline=None)
+def test_estimate_nonincreasing_in_n(driver, clusters, e_c):
+    """§3.1 reason 3 for any report, not only simulated ones."""
+    rep = SparklensReport(
+        query="q", observed_n=16, driver_time=driver, cluster_work=clusters, e_c=e_c
+    )
+    est = [rep.estimate(n) for n in range(1, 49)]
+    assert all(a >= b for a, b in zip(est, est[1:]))

@@ -1,4 +1,4 @@
-"""Unit tests for the synthetic data generators (TPC-H-lite + TPC-DS-lite)."""
+"""Unit tests for the synthetic data generators (TPC-DS-lite)."""
 import pytest
 
 from repro import synth_data
@@ -86,10 +86,3 @@ def test_ext_price_is_qty_times_price(spark):
         < 0.02
     ).all()
 
-
-def test_tpch_lite_generators_still_work(spark):
-    """The provided TPC-H-lite generators remain usable alongside."""
-    assert synth_data.lineitem(spark, sf=0.001).count() > 0
-    assert synth_data.orders(spark, sf=0.001).count() > 0
-    assert synth_data.zipf_keys(spark, n=100, n_keys=10).count() == 100
-    assert synth_data.uniform_keys(spark, n=100, n_keys=10).count() == 100
