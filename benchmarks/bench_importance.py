@@ -10,7 +10,7 @@ def test_bench_permutation_importance_one_fold(benchmark, ds100):
     permutation repeats × 50 folds; the benchmarked unit is one fold at
     10 repeats)."""
     train, test = ds100.records[:82], ds100.records[82:]
-    model = ParameterModel(family="AE_PL", random_state=0, n_jobs=8).fit(
+    model = ParameterModel(family="AE_PL", random_state=0).fit(
         [r.to_example() for r in train]
     )
     X = np.asarray([r.features for r in test])
@@ -40,7 +40,7 @@ def test_bench_ablation_fold(benchmark, ds100):
         for r in ds100.records[:82]
     ]
     model = benchmark.pedantic(
-        lambda: ParameterModel(family="AE_PL", random_state=0, n_jobs=8).fit(examples),
+        lambda: ParameterModel(family="AE_PL", random_state=0).fit(examples),
         rounds=2,
         iterations=1,
     )

@@ -20,7 +20,7 @@ def examples(ds100):
 
 @pytest.fixture(scope="module")
 def fitted(examples):
-    return ParameterModel(family="AE_PL", random_state=0, n_jobs=8).fit(examples)
+    return ParameterModel(family="AE_PL", random_state=0).fit(examples)
 
 
 def test_bench_ppm_param_fit(benchmark, examples):
@@ -33,9 +33,9 @@ def test_bench_ppm_param_fit(benchmark, examples):
 
 
 def test_bench_rf_training(benchmark, examples):
-    """Paper: ~79 ms for 103 queries (sklearn C; ours is pure python)."""
+    """Paper: ~79 ms for 103 queries (sklearn C; ours is numpy, in one process)."""
     model = benchmark.pedantic(
-        lambda: ParameterModel(family="AE_PL", random_state=0, n_jobs=8).fit(examples),
+        lambda: ParameterModel(family="AE_PL", random_state=0).fit(examples),
         rounds=3,
         iterations=1,
     )

@@ -11,14 +11,14 @@ def test_bench_train_one_fold(benchmark, ds100):
     examples = [r.to_example() for r in train]
 
     model = benchmark(
-        lambda: ParameterModel(family="AE_PL", random_state=0, n_jobs=8).fit(examples)
+        lambda: ParameterModel(family="AE_PL", random_state=0).fit(examples)
     )
     assert model.forest is not None
 
 
 def test_bench_score_all_queries(benchmark, ds100):
     """Score the fitted model once per query (the per-query §4.4 path)."""
-    model = ParameterModel(family="AE_PL", random_state=0, n_jobs=8).fit(
+    model = ParameterModel(family="AE_PL", random_state=0).fit(
         [r.to_example() for r in ds100.records]
     )
 

@@ -45,16 +45,13 @@ def train_and_register(
     family: str,
     examples: list[TrainingExample],
     *,
-    n_jobs: int = 1,
     random_state: int = 0,
 ) -> int:
     """Offline training (§4.2) + export to the model registry (§4.3).
 
     Returns the serialized model size in bytes (cf. §5.6's ~1 MB ONNX).
     """
-    model = ParameterModel(
-        family=family, random_state=random_state, n_jobs=n_jobs
-    ).fit(examples)
+    model = ParameterModel(family=family, random_state=random_state).fit(examples)
     return registry.register(
         name,
         model.forest,

@@ -47,7 +47,6 @@ class ParameterModel:
     family: str
     n_estimators: int = 100
     random_state: int | None = 0
-    n_jobs: int = 1
     feature_names: tuple[str, ...] = FEATURE_NAMES
     forest: RandomForestRegressor | None = field(default=None, repr=False)
 
@@ -59,9 +58,7 @@ class ParameterModel:
         X = np.asarray([ex.features for ex in examples], dtype=float)
         y = fit_ppm_targets(self.family, examples)
         self.forest = RandomForestRegressor(
-            n_estimators=self.n_estimators,
-            random_state=self.random_state,
-            n_jobs=self.n_jobs,
+            n_estimators=self.n_estimators, random_state=self.random_state
         ).fit(X, y)
         return self
 

@@ -74,7 +74,6 @@ def run_cross_validation(
     repeats: int = 10,
     folds: int = 5,
     seed: int = 0,
-    n_jobs: int = 1,
     feature_mask: list[int] | None = None,
     keep_models: bool = False,
 ) -> list[FoldResult]:
@@ -108,7 +107,6 @@ def run_cross_validation(
             model = ParameterModel(
                 family=family,
                 random_state=1000 * rep + fi,
-                n_jobs=n_jobs,
                 feature_names=feat_names,
             ).fit(examples)
             predicted = {

@@ -212,7 +212,6 @@ def run_cv_cached(
     repeats: int = 10,
     folds: int = 5,
     seed: int = 0,
-    n_jobs: int = 8,
     cache_root: str = DEFAULT_CACHE,
     force: bool = False,
 ):
@@ -248,7 +247,7 @@ def run_cv_cached(
             for fr in doc["folds"]
         ]
     results = run_cross_validation(
-        ds.records, family=family, repeats=repeats, folds=folds, seed=seed, n_jobs=n_jobs
+        ds.records, family=family, repeats=repeats, folds=folds, seed=seed
     )
     os.makedirs(cache_root, exist_ok=True)
     with open(path, "w") as f:

@@ -8,9 +8,9 @@
   F3 = F1 − F2 (the four plan features).
 
 Cost deviation from the paper: the paper permutes 100× over all 50 CV
-folds (5000 scores/feature); with the pure-python forest this repo uses
-20 permutations over the folds of 3 repeats by default — the ranking is
-stable well before that.
+folds (5000 scores/feature); to keep the job within minutes with the
+single-process numpy forest, this repo uses 20 permutations over the
+folds of 3 repeats by default — the ranking is stable well before that.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ def importance_scores(
     repeats: int = 3,
     folds: int = 5,
     n_repeats: int = 20,
-    n_jobs: int = 8,
 ) -> dict[str, float]:
     """feature → summed (AE_PL + AE_AL) mean permutation importance.
 
@@ -61,7 +60,6 @@ def importance_scores(
             family=family,
             repeats=repeats,
             folds=folds,
-            n_jobs=n_jobs,
             keep_models=True,
         )
         acc = np.zeros(len(FEATURE_NAMES))
@@ -86,7 +84,7 @@ def top_features(scores: dict[str, float], k: int = 10) -> list[tuple[str, float
 
 
 def ablation(
-    ds: Dataset, *, repeats: int = 3, folds: int = 5, n_jobs: int = 8
+    ds: Dataset, *, repeats: int = 3, folds: int = 5
 ) -> dict[str, dict[str, dict[int, float]]]:
     """E(n) per feature set per family (§5.7's F0–F3 study)."""
     out: dict[str, dict[str, dict[int, float]]] = {}
@@ -98,7 +96,6 @@ def ablation(
                 family=family,
                 repeats=repeats,
                 folds=folds,
-                n_jobs=n_jobs,
                 feature_mask=mask,
             )
             errs = error_by_n(ds.records, frs)

@@ -4,7 +4,7 @@ Measures the reproduction's analogues of every number in §5.6:
 
 - per-point PPM parameter-fit time (paper ~0.3 ms),
 - Random-Forest training time over all 103 queries (paper ~79 ms with
-  sklearn's C implementation; ours is pure python),
+  sklearn's C implementation; ours is numpy, in one process),
 - parameter-model scoring time (paper ~3.6 ms),
 - plan featurization time inside the optimizer (paper ~10.3 ms; needs a
   SparkSession, measured in ``benchmarks/bench_overheads.py``),
@@ -34,7 +34,7 @@ class Overheads:
     inference_ms: float
 
 
-def measure(ds: Dataset, *, family: str = "AE_PL", n_jobs: int = 1) -> Overheads:
+def measure(ds: Dataset, *, family: str = "AE_PL") -> Overheads:
     records = ds.records
     examples = [r.to_example() for r in records]
 
@@ -45,7 +45,7 @@ def measure(ds: Dataset, *, family: str = "AE_PL", n_jobs: int = 1) -> Overheads
     fit_ms = (time.perf_counter() - t0) / len(examples) * 1e3
 
     t0 = time.perf_counter()
-    model = ParameterModel(family=family, random_state=0, n_jobs=n_jobs).fit(examples)
+    model = ParameterModel(family=family, random_state=0).fit(examples)
     train_ms = (time.perf_counter() - t0) * 1e3
 
     feats = records[0].features

@@ -14,9 +14,7 @@ from repro.core.training import N_GRID
 from repro.experiments.common import Dataset
 
 
-def cross_sf_errors(
-    train_ds: Dataset, test_ds: Dataset, *, n_jobs: int = 8
-) -> dict[str, dict[int, float]]:
+def cross_sf_errors(train_ds: Dataset, test_ds: Dataset) -> dict[str, dict[int, float]]:
     """E(n) on ``test_ds`` actuals for AE_PL/AE_AL trained on ``train_ds``,
     plus Sparklens references from both scale factors.
     """
@@ -25,7 +23,7 @@ def cross_sf_errors(
         n: {r.name: r.actual_times[n] for r in test_ds.records} for n in N_GRID
     }
     for family in ("AE_PL", "AE_AL"):
-        model = ParameterModel(family=family, random_state=0, n_jobs=n_jobs).fit(
+        model = ParameterModel(family=family, random_state=0).fit(
             [r.to_example() for r in train_ds.records]
         )
         preds = {r.name: model.predict_ppm(r.features) for r in test_ds.records}

@@ -3,96 +3,74 @@
 The paper trains the parameter model with scikit-learn's
 ``RandomForestRegressor`` at its defaults (100 estimators, §5.6). This
 implementation mirrors those defaults: 100 trees, bootstrap sampling,
-``max_features=1.0`` (the sklearn regression default), unconstrained
-depth, and multi-output support (one forest jointly predicts all PPM
-scalars for a query).
+all features considered at every split (the sklearn regression default),
+unconstrained depth, and multi-output support (one forest jointly
+predicts all PPM scalars for a query).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeRegressor
-
-
-def _fit_one_tree(args) -> DecisionTreeRegressor:
-    X, y, idx, max_depth, max_features, seed = args
-    t = DecisionTreeRegressor(
-        max_depth=max_depth, max_features=max_features, random_state=seed
-    )
-    return t.fit(X[idx], y[idx])
+from repro.ml import tree as tree_mod
+from repro.ml.tree import Tree
 
 
 @dataclass
 class RandomForestRegressor:
-    """Bagged ensemble of :class:`DecisionTreeRegressor`.
-
-    ``n_jobs > 1`` fits trees in forked worker processes (sklearn's
-    ``n_jobs`` analogue) — useful for the 10×5-fold CV experiments.
-    """
+    """Bagged CART trees, held back to back in one set of node arrays."""
 
     n_estimators: int = 100
-    max_depth: int | None = None
-    max_features: float = 1.0
     random_state: int | None = None
-    n_jobs: int = 1
-    trees_: list[DecisionTreeRegressor] = field(default_factory=list, repr=False)
-    n_outputs_: int = 0
+    nodes_: Tree | None = field(default=None, repr=False)
+    roots_: np.ndarray | None = field(default=None, repr=False)
     n_features_: int = 0
+
+    @property
+    def n_outputs_(self) -> int:
+        return self.nodes_.value.shape[1]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
         self.n_features_ = X.shape[1]
-        self.n_outputs_ = y.shape[1]
         rng = np.random.default_rng(self.random_state)
-        n = X.shape[0]
-        jobs = [
-            (
-                X,
-                y,
-                rng.integers(0, n, size=n),  # bootstrap sample
-                self.max_depth,
-                self.max_features,
-                int(rng.integers(0, 2**31 - 1)),
-            )
-            for _ in range(self.n_estimators)
-        ]
-        workers = min(self.n_jobs, os.cpu_count() or 1)
-        if workers > 1:
-            with get_context("fork").Pool(workers) as pool:
-                self.trees_ = pool.map(_fit_one_tree, jobs)
-        else:
-            self.trees_ = [_fit_one_tree(j) for j in jobs]
+        trees = []
+        for _ in range(self.n_estimators):
+            idx = rng.integers(0, len(X), size=len(X))  # bootstrap sample
+            # Unused since trees stopped subsampling features; drawn anyway so
+            # every later bootstrap sample, and so every forest, stays the same.
+            rng.integers(0, 2**31 - 1)
+            trees.append(tree_mod.fit_tree(X[idx], y[idx]))
+        self._stack(trees)
         return self
 
+    def _stack(self, trees: list[Tree]) -> None:
+        self.nodes_ = Tree(*map(np.concatenate, zip(*trees)))
+        self.roots_ = np.cumsum([0] + [len(t.feature) for t in trees])[:-1]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees_:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros((X.shape[0], self.n_outputs_))
-        for t in self.trees_:
-            acc += t.predict(X)
-        out = acc / len(self.trees_)
-        return out[:, 0] if self.n_outputs_ == 1 else out
+        leaves = tree_mod.predict(self.nodes_, self.roots_, X)
+        acc = np.zeros((leaves.shape[0], leaves.shape[2]))
+        for t in range(leaves.shape[1]):  # summed in tree order
+            acc += leaves[:, t]
+        out = acc / leaves.shape[1]
+        return out[:, 0] if out.shape[1] == 1 else out
 
     def to_dict(self) -> dict:
+        """One dict of node lists per tree, the portable model layout."""
+        ends = np.append(self.roots_[1:], len(self.nodes_.feature))
         return {
-            "n_estimators": self.n_estimators,
-            "n_outputs": self.n_outputs_,
             "n_features": self.n_features_,
-            "trees": [t.to_dict() for t in self.trees_],
+            "trees": [
+                {k: a[s:e].tolist() for k, a in self.nodes_._asdict().items()}
+                for s, e in zip(self.roots_, ends)
+            ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForestRegressor":
-        f = cls(n_estimators=d["n_estimators"])
-        f.n_outputs_ = d["n_outputs"]
-        f.n_features_ = d["n_features"]
-        f.trees_ = [DecisionTreeRegressor.from_dict(t) for t in d["trees"]]
+        f = cls(n_estimators=len(d["trees"]), n_features_=d["n_features"])
+        f._stack([Tree(*(np.asarray(t[k]) for k in Tree._fields)) for t in d["trees"]])
         return f

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass

@@ -1,159 +1,103 @@
-"""CART regression tree (scikit-learn substitute).
+"""CART regression trees as flat node arrays (scikit-learn substitute).
 
-Supports multi-output targets (the parameter model predicts 2–3 PPM
+A tree is five pre-order node arrays: ``feature`` (-1 for a leaf),
+``threshold``, ``left``/``right`` (child node ids within the tree, -1 for
+a leaf) and ``value`` (the mean target vector of the node's samples). A
+forest concatenates its trees into one such set and keeps the root ids.
+
+Targets may be multi-output (the parameter model predicts 2–3 PPM
 scalars jointly, like a multi-output ``RandomForestRegressor`` would).
-Splits minimise the summed per-output variance (MSE criterion), matching
-sklearn's regression-tree behaviour with default parameters.
+Splits minimise the summed per-output SSE (MSE criterion) over all
+features, matching sklearn's regression tree at its defaults: grown
+until pure, no depth limit, one sample per leaf at least.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass
-class _Node:
-    """One tree node; a leaf iff ``feature < 0``."""
-
-    value: np.ndarray  # mean target vector of the samples in this node
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+class Tree(NamedTuple):
+    feature: np.ndarray  # int, -1 for a leaf
+    threshold: np.ndarray  # go left iff x[feature] <= threshold
+    left: np.ndarray  # int child id within the tree, -1 for a leaf
+    right: np.ndarray
+    value: np.ndarray  # (nodes, outputs)
 
 
-@dataclass
-class DecisionTreeRegressor:
-    """Greedy best-split CART tree with MSE criterion.
+def _best_split(x: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
+    """Best (feature, threshold) by minimum summed child SSE.
 
-    ``max_features`` ∈ (0, 1] is the fraction of features examined at each
-    split (sklearn's RF-regressor default is 1.0). ``min_samples_split``
-    and ``min_samples_leaf`` match sklearn defaults (2 and 1).
+    Every feature is scored in one pass: a stable sort per column and
+    cumulative sums over the ``(n, features, outputs)`` sorted targets give
+    the left/right SSE of every split position; positions with no gap in x
+    cannot split and score ``inf``. Ties go to the first feature, as in a
+    feature-by-feature scan.
     """
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    csum2 = np.cumsum(ys * ys, axis=0)
+    tot, tot2 = csum[-1], csum2[-1]
+    ls, ls2 = csum[:-1], csum2[:-1]
+    i = np.arange(1, n)[:, None, None]  # left sizes; split between i-1 and i
+    left = (ls2 - ls * ls / i).sum(axis=2)
+    right = ((tot2 - ls2) - (tot - ls) ** 2 / (n - i)).sum(axis=2)
+    sse = left + right
+    sse[xs[:-1] == xs[1:]] = np.inf
+    pos = np.argmin(sse, axis=0)
+    best_score, best = np.inf, None
+    for f, k in enumerate(pos):
+        if sse[k, f] < best_score - 1e-12:
+            best_score = float(sse[k, f])
+            best = (f, float((xs[k, f] + xs[k + 1, f]) / 2.0))
+    return best
 
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
-    max_features: float = 1.0
-    random_state: int | None = None
-    root_: _Node | None = field(default=None, repr=False)
-    n_features_: int = 0
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        self.n_features_ = X.shape[1]
-        rng = np.random.default_rng(self.random_state)
-        self.root_ = self._grow(X, y, depth=0, rng=rng)
-        return self
+def fit_tree(X: np.ndarray, y: np.ndarray) -> Tree:
+    """Grow one tree depth-first on ``X`` (n, features), ``y`` (n[, outputs]).
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng) -> _Node:
-        node = _Node(value=y.mean(axis=0))
-        n = X.shape[0]
-        if (
-            n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.allclose(y, y[0])
-        ):
-            return node
-        k = max(1, int(round(self.max_features * self.n_features_)))
-        feats = (
-            np.arange(self.n_features_)
-            if k >= self.n_features_
-            else rng.choice(self.n_features_, size=k, replace=False)
-        )
-        best = self._best_split(X, y, feats)
-        if best is None:
-            return node
-        f, thr = best
-        mask = X[:, f] <= thr
-        node.feature, node.threshold = f, thr
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return node
+    Child ids are tree-local; a node is a leaf once its targets are all
+    equal or no feature separates its rows.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(len(X), -1)
+    nodes = []  # [feature, threshold, left, right, value] in pre-order
+    stack = [(np.arange(len(X)), None)]  # (rows, (parent id, child slot))
+    while stack:
+        rows, link = stack.pop()
+        i = len(nodes)
+        if link:
+            nodes[link[0]][link[1]] = i
+        ys = y[rows]
+        node = [-1, 0.0, -1, -1, ys.mean(axis=0)]
+        nodes.append(node)
+        split = None if len(rows) < 2 or (ys == ys[0]).all() else _best_split(X[rows], ys)
+        if split:
+            node[:2] = split
+            mask = X[rows, split[0]] <= split[1]
+            stack += [(rows[~mask], (i, 3)), (rows[mask], (i, 2))]  # left is popped first
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
-    def _best_split(self, X, y, feats) -> tuple[int, float] | None:
-        """Best (feature, threshold) by minimum weighted child SSE.
 
-        Fully vectorised over candidate thresholds: cumulative sums give
-        left/right SSE for every split position in O(n) per feature.
-        """
-        n = X.shape[0]
-        lo, hi = self.min_samples_leaf, n - self.min_samples_leaf
-        if lo >= hi + 1:
-            return None
-        best_score, best = np.inf, None
-        for f in feats:
-            order = np.argsort(X[:, f], kind="stable")
-            xs, ys = X[order, f], y[order]
-            csum = np.cumsum(ys, axis=0)
-            csum2 = np.cumsum(ys * ys, axis=0)
-            tot, tot2 = csum[-1], csum2[-1]
-            i = np.arange(lo, hi + 1)  # left sizes; split between i-1 and i
-            i = i[(i >= 1) & (i < n)]
-            if i.size == 0:
-                continue
-            valid = xs[i - 1] != xs[i]
-            i = i[valid]
-            if i.size == 0:
-                continue
-            ls, ls2 = csum[i - 1], csum2[i - 1]
-            left = (ls2 - ls * ls / i[:, None]).sum(axis=1)
-            ri = (n - i)[:, None]
-            right = ((tot2 - ls2) - (tot - ls) ** 2 / ri).sum(axis=1)
-            sse = left + right
-            j = int(np.argmin(sse))
-            if sse[j] < best_score - 1e-12:
-                best_score = float(sse[j])
-                k = int(i[j])
-                best = (int(f), float((xs[k - 1] + xs[k]) / 2.0))
-        return best
+def predict(nodes: Tree | None, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf values ``(rows, trees, outputs)`` of every row in every tree.
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.root_ is None:
-            raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], self.root_.value.shape[0]))
-        for i, row in enumerate(X):
-            node = self.root_
-            while node.feature >= 0:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
-    def to_dict(self) -> dict:
-        """Serialise the fitted tree for the portable model format."""
-
-        def enc(node: _Node | None):
-            if node is None:
-                return None
-            return {
-                "value": node.value.tolist(),
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": enc(node.left),
-                "right": enc(node.right),
-            }
-
-        return {"n_features": self.n_features_, "root": enc(self.root_)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTreeRegressor":
-        def dec(nd):
-            if nd is None:
-                return None
-            return _Node(
-                value=np.asarray(nd["value"], dtype=float),
-                feature=nd["feature"],
-                threshold=nd["threshold"],
-                left=dec(nd["left"]),
-                right=dec(nd["right"]),
-            )
-
-        t = cls()
-        t.n_features_ = d["n_features"]
-        t.root_ = dec(d["root"])
-        return t
+    ``nodes`` holds the trees back to back, tree ``t`` starting at node
+    ``roots[t]``. All rows descend all trees together, one level per step.
+    """
+    if nodes is None:
+        raise RuntimeError("tree is not fitted")
+    X = np.asarray(X, dtype=float)
+    at = np.repeat(roots[None, :], len(X), axis=0)
+    rows = np.arange(len(X))[:, None]
+    while True:
+        f = nodes.feature[at]
+        inner = f >= 0
+        if not inner.any():
+            return nodes.value[at]
+        child = np.where(X[rows, f] <= nodes.threshold[at], nodes.left[at], nodes.right[at])
+        at = np.where(inner, roots + child, at)

@@ -63,7 +63,7 @@ class TestImportance:
         the mini workload, where they are the only informative features)."""
         ds, _ = mini_pair
         scores = exp_importance.importance_scores(
-            ds, repeats=1, folds=3, n_repeats=5, n_jobs=4
+            ds, repeats=1, folds=3, n_repeats=5
         )
         top_name, _ = exp_importance.top_features(scores, 1)[0]
         assert top_name in {"input_bytes", "rows_processed"}
@@ -73,7 +73,7 @@ class TestImportance:
 
     def test_ablation_structure(self, mini_pair):
         ds, _ = mini_pair
-        ab = exp_importance.ablation(ds, repeats=1, folds=3, n_jobs=4)
+        ab = exp_importance.ablation(ds, repeats=1, folds=3)
         assert set(ab) == {"AE_PL", "AE_AL"}
         for fam in ab.values():
             assert set(fam) == {"F0", "F1", "F2", "F3"}
@@ -84,23 +84,23 @@ class TestImportance:
         """Dropping the informative features (F3 keeps only plan shape)
         must hurt on a workload driven purely by input size."""
         ds, _ = mini_pair
-        ab = exp_importance.ablation(ds, repeats=1, folds=3, n_jobs=4)
+        ab = exp_importance.ablation(ds, repeats=1, folds=3)
         assert ab["AE_PL"]["F3"][8] >= ab["AE_PL"]["F2"][8] * 0.8
 
 
 class TestScaleFactor:
     def test_cross_sf_structure(self, mini_pair):
         small, big = mini_pair
-        res = exp_scalefactor.cross_sf_errors(small, big, n_jobs=4)
+        res = exp_scalefactor.cross_sf_errors(small, big)
         assert set(res) == {"AE_PL", "AE_AL", "S_test", "S_train"}
 
     def test_wrong_sf_sparklens_is_much_worse(self, mini_pair):
         """§5.5: Sparklens cannot account for the data-size change."""
         small, big = mini_pair
-        res = exp_scalefactor.cross_sf_errors(small, big, n_jobs=4)
+        res = exp_scalefactor.cross_sf_errors(small, big)
         assert res["S_train"][1] > 2 * res["S_test"][1]
 
     def test_model_uses_size_features_to_adapt(self, mini_pair):
         small, big = mini_pair
-        res = exp_scalefactor.cross_sf_errors(small, big, n_jobs=4)
+        res = exp_scalefactor.cross_sf_errors(small, big)
         assert res["AE_PL"][48] < res["S_train"][1]

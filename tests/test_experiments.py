@@ -71,7 +71,7 @@ def folds(mini_ds, cache):
 
     return {
         fam: run_cv_cached(
-            mini_ds, family=fam, repeats=2, folds=3, n_jobs=4, cache_root=cache
+            mini_ds, family=fam, repeats=2, folds=3, cache_root=cache
         )
         for fam in ("AE_PL", "AE_AL")
     }
@@ -222,7 +222,7 @@ class TestGroundTruthExperiment:
 
 class TestOverheadsExperiment:
     def test_measures_all_fields(self, mini_ds):
-        o = exp_overheads.measure(mini_ds, n_jobs=4)
+        o = exp_overheads.measure(mini_ds)
         assert o.ppm_fit_ms_per_point > 0
         assert o.rf_train_ms > 0
         assert o.score_ms > 0

@@ -1,4 +1,8 @@
 """Unit tests for the Random-Forest substrate."""
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,12 +49,6 @@ class TestRandomForest:
         b = RandomForestRegressor(n_estimators=5, random_state=2).fit(X, y).predict(X)
         assert not np.allclose(a, b)
 
-    def test_parallel_matches_serial(self, regression_data):
-        X, y = regression_data
-        a = RandomForestRegressor(n_estimators=8, random_state=3, n_jobs=1).fit(X, y)
-        b = RandomForestRegressor(n_estimators=8, random_state=3, n_jobs=4).fit(X, y)
-        assert np.allclose(a.predict(X), b.predict(X))
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.zeros((1, 2)))
@@ -59,16 +57,54 @@ class TestRandomForest:
         X, y = regression_data
         f = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
         f2 = RandomForestRegressor.from_dict(f.to_dict())
-        assert np.allclose(f.predict(X), f2.predict(X))
+        assert np.array_equal(f.predict(X), f2.predict(X))
 
     def test_bagging_smooths_vs_single_tree(self, regression_data):
         """Forest generalizes better than one deep tree on held-out data."""
         X, y = regression_data
         Xtr, ytr, Xte, yte = X[:90], y[:90], X[90:], y[90:]
         forest = RandomForestRegressor(n_estimators=50, random_state=0).fit(Xtr, ytr)
-        from repro.ml.tree import DecisionTreeRegressor
+        from repro.ml.tree import fit_tree, predict
 
-        tree = DecisionTreeRegressor().fit(Xtr, ytr)
+        tree = fit_tree(Xtr, ytr)
         err_f = np.mean((forest.predict(Xte) - yte) ** 2)
-        err_t = np.mean((tree.predict(Xte).ravel() - yte) ** 2)
+        err_t = np.mean((predict(tree, np.array([0]), Xte).ravel() - yte) ** 2)
         assert err_f <= err_t * 1.1
+
+
+SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dataset_sf0.1.json"
+
+#: sha256 of the fold-0 test predictions; any change to a split, a leaf
+#: value or the order in which tree outputs are summed changes them.
+PINNED_SHA256 = {
+    "AE_PL": "65becb9e894f7a4e6becadefe9300170652cf9d3a506536fb8548bab9ecb149c",
+    "AE_AL": "b87f9698394f937c35292998a5e537a39639bedf35dbda2082e3dde8b4840e80",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SHA256))
+def test_pinned_parameter_forest(family):
+    """The PPM-parameter forests on the sf=0.1 snapshot predict bit for bit
+    as recorded, and one-row predictions equal rows of the batch."""
+    from repro.core.parameter_model import TrainingExample, fit_ppm_targets
+    from repro.core.training import kfold_indices
+
+    queries = json.loads(SNAPSHOT.read_text())["queries"]
+    train, test = kfold_indices(len(queries), 5, seed=0)[0]
+    examples = [
+        TrainingExample(
+            query=queries[i]["name"],
+            features=queries[i]["features"],
+            times={int(n): t for n, t in queries[i]["sparklens"].items()},
+        )
+        for i in train
+    ]
+    X = np.asarray([ex.features for ex in examples], dtype=float)
+    forest = RandomForestRegressor(n_estimators=100, random_state=0).fit(
+        X, fit_ppm_targets(family, examples)
+    )
+    Xte = np.asarray([queries[i]["features"] for i in test], dtype=float)
+    batch = forest.predict(Xte)
+    assert hashlib.sha256(batch.tobytes()).hexdigest() == PINNED_SHA256[family]
+    for row, expected in zip(Xte, batch):
+        assert forest.predict(row[None, :])[0].tobytes() == expected.tobytes()

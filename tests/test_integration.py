@@ -64,7 +64,7 @@ class TestEndToEnd:
         ds, _ = dataset
         reg = ModelRegistry(str(tmp_path_factory.mktemp("registry")))
         train_and_register(
-            reg, "ae_pl", "AE_PL", [r.to_example() for r in ds.records], n_jobs=4
+            reg, "ae_pl", "AE_PL", [r.to_example() for r in ds.records]
         )
         return AutoExecutorRule(registry=reg, model_name="ae_pl", family="AE_PL")
 

@@ -1,4 +1,7 @@
 """Unit tests for the portable model format + registry (ONNX substitute)."""
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ class TestPortableModel:
         p = str(tmp_path / "m.repromodel")
         save_model(p, f, feature_names=list("abcd"), target_names=["s", "p"])
         m = load_model(p)
-        assert np.allclose(m.predict(X), f.predict(X))
+        assert np.array_equal(m.predict(X), f.predict(X))
 
     def test_size_reported(self, fitted_forest, tmp_path):
         f, _ = fitted_forest
@@ -46,6 +49,18 @@ class TestPortableModel:
         with pytest.raises(ValueError, match="expected 4 features"):
             m.predict(np.zeros(3))
 
+    def test_old_format_version_rejected(self, fitted_forest, tmp_path):
+        f, _ = fitted_forest
+        p = str(tmp_path / "m.repromodel")
+        save_model(p, f, feature_names=list("abcd"), target_names=["s", "p"])
+        with open(p, "rb") as fh:
+            doc = json.loads(zlib.decompress(fh.read()))
+        doc["format_version"] = 1
+        with open(p, "wb") as fh:
+            fh.write(zlib.compress(json.dumps(doc).encode("utf-8")))
+        with pytest.raises(ValueError, match="unsupported model format"):
+            load_model(p)
+
     def test_1d_input_promoted(self, fitted_forest, tmp_path):
         f, X = fitted_forest
         p = str(tmp_path / "m.repromodel")
@@ -60,7 +75,7 @@ class TestModelRegistry:
         reg = ModelRegistry(str(tmp_path))
         reg.register("ae_pl", f, feature_names=list("abcd"), target_names=["s", "p"])
         m = reg.get("ae_pl")
-        assert np.allclose(m.predict(X), f.predict(X))
+        assert np.array_equal(m.predict(X), f.predict(X))
 
     def test_get_caches_instance(self, fitted_forest, tmp_path):
         f, _ = fitted_forest
