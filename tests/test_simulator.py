@@ -1,4 +1,8 @@
 """Unit tests for the event-driven cluster simulator."""
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from repro.cluster.allocation import (
 from repro.cluster.simulator import SimParams, core_efficiency, simulate
 from repro.cluster.taskgraph import build_task_graph
 from repro.core.features import PlanNode
+from repro.experiments.common import _skeleton_from_json, ground_truth_times, sparklens_times
 
 
 def make_graph(fact_bytes=4_000_000, query="q"):
@@ -155,3 +160,62 @@ class TestCoreEfficiency:
             g, StaticAllocation(8), params=SimParams(cores_per_executor=8), seed=0
         ).elapsed
         assert abs(t_ec8 - t_ec4) / t_ec4 < 0.35
+
+
+SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dataset_sf0.1.json"
+
+
+@pytest.fixture(scope="module")
+def snapshot_slice():
+    """Every 10th query of the sf=0.1 snapshot with its task graph."""
+    queries = json.loads(SNAPSHOT.read_text())["queries"][::10]
+    return [(q, build_task_graph(q["name"], _skeleton_from_json(q["skeleton"]))) for q in queries]
+
+
+_PINNED_POLICIES = {
+    "SA(1)": lambda: StaticAllocation(1),
+    "SA(8)": lambda: StaticAllocation(8),
+    "SA(48)": lambda: StaticAllocation(48),
+    "DA(1,48)": lambda: DynamicAllocation(1, 48),
+    "Rule(8)": lambda: PredictiveRule(n_predicted=8),
+    "Rule(20)": lambda: PredictiveRule(n_predicted=20),
+}
+
+#: sha256 over every run's (elapsed, auc, max_executors, skyline, stage
+#: logs) for e_c in (2, 4, 8) on the snapshot slice; a changed schedule,
+#: noise draw or float anywhere in the simulator changes them.
+PINNED_RUNS_SHA256 = {
+    "SA(1)": "0651505ade06a9c447f198ab26044e4d28dc53243771b6ae54abf05187d40e4f",
+    "SA(8)": "be677f7e4641cb8e422e6b110f1e1578c0f8d6c2a3f0e75e41e18b2adc3f8c1f",
+    "SA(48)": "31f25bde198b40ee86094a21e05e33ebf6adb527e19d3e66eb7c0f8229288fd5",
+    "DA(1,48)": "fea952459fc98c351bbc922f49336f59fa285e9b8b3054b46b76bbc300de9f0e",
+    "Rule(8)": "577c058ef7c970038806cbd37783ea461387652edcf61abbed05f6a900c4f83c",
+    "Rule(20)": "15e30eda6938e5968c65156c8e8624546c9e69a8f408a79d69fad92871b68e37",
+}
+
+
+def _runs_digest(make_policy, graphs) -> str:
+    h = hashlib.sha256()
+    seed = 0
+    for e_c in (2, 4, 8):
+        params = SimParams(cores_per_executor=e_c)
+        for g in graphs:
+            r = simulate(g, make_policy(), params=params, seed=seed)
+            seed += 1
+            logs = [(log.start, log.end, log.task_durations) for log in r.stage_logs]
+            h.update(repr((r.elapsed, r.auc, r.max_executors, r.skyline, logs)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_RUNS_SHA256))
+def test_pinned_runs(policy, snapshot_slice):
+    """Simulated runs on the snapshot slice are bit-identical to the recorded ones."""
+    graphs = [g for _, g in snapshot_slice]
+    assert _runs_digest(_PINNED_POLICIES[policy], graphs) == PINNED_RUNS_SHA256[policy]
+
+
+def test_snapshot_ground_truth_and_sparklens_exact(snapshot_slice):
+    """Ground truth and Sparklens estimates reproduce the snapshot exactly."""
+    for q, g in snapshot_slice:
+        assert ground_truth_times(g) == {int(n): t for n, t in q["actual"].items()}, q["name"]
+        assert sparklens_times(g) == {int(n): t for n, t in q["sparklens"].items()}, q["name"]
