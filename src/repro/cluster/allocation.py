@@ -48,6 +48,14 @@ class AllocationPolicy:
     def target(self, view: ClusterView) -> int:
         raise NotImplementedError
 
+    def next_tick(self, now: float) -> float | None:
+        """When the simulator should next call :meth:`target` without any
+        other event, or ``None`` if the target can change only at events.
+
+        The simulator calls it at t=0 and at every tick it returns.
+        """
+        return None
+
 
 @dataclass
 class StaticAllocation(AllocationPolicy):
@@ -127,6 +135,11 @@ class DynamicAllocation(AllocationPolicy):
             self._backlog_since = view.time
         return self._target
 
+    def next_tick(self, now: float) -> float | None:
+        # the backlog timer's granularity: a sustained backlog is noticed
+        # within 1 s even when no task starts or ends meanwhile
+        return now + 1.0
+
 
 @dataclass
 class PredictiveRule(AllocationPolicy):
@@ -155,3 +168,12 @@ class PredictiveRule(AllocationPolicy):
         if view.time >= self.rule_time_sec:
             return self.n_predicted
         return self.initial_n
+
+    def next_tick(self, now: float) -> float | None:
+        """Wake once, at ``rule_time_sec``: the target depends on time alone.
+
+        With a whole-second ``rule_time_sec``, such as the default 7.0, a
+        timer ticking every whole second would issue the request at the
+        same instant, so runs equal those of a 1 s timer bit for bit.
+        """
+        return self.rule_time_sec if now < self.rule_time_sec else None

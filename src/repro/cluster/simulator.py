@@ -25,9 +25,12 @@ Faithful mechanics (§5.1, §5.4):
 """
 from __future__ import annotations
 
+import hashlib
 import heapq
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +74,8 @@ class RunResult:
     skyline: list[tuple[float, int]]  # (time, live executor count) steps
     stage_logs: list[StageLog]
     e_c: int
+    events: int  # events taken off the event queue
+    peak_pending: int  # most tasks ever queued for a free slot
 
 
 def core_efficiency(query: str, e_c: int) -> float:
@@ -86,14 +91,12 @@ def core_efficiency(query: str, e_c: int) -> float:
     base = 1.0 + 0.07 * abs(e_c - 4) / 2.0
     # deterministic per-(query, size) wiggle; hash() is salted per process,
     # so derive it from a stable digest instead
-    import hashlib
     h = int.from_bytes(hashlib.sha256(f"{query}|{e_c}".encode()).digest()[:4], "big") / 2**32
     return base * (0.86 + 0.27 * h)
 
 
 @dataclass
 class _Executor:
-    eid: int
     busy: int = 0
     idle_since: float = 0.0
 
@@ -116,7 +119,7 @@ class _Pool:
         self._account(t)
         eid = self._next_id
         self._next_id += 1
-        self.executors[eid] = _Executor(eid, idle_since=t)
+        self.executors[eid] = _Executor(idle_since=t)
         self.skyline.append((t, len(self.executors)))
         return eid
 
@@ -139,7 +142,13 @@ def simulate(
     params: SimParams | None = None,
     seed: int = 0,
 ) -> RunResult:
-    """Run one application under ``policy`` and return its metrics."""
+    """Run one application under ``policy`` and return its metrics.
+
+    No event rescans the stage queues or the pool: the queued-task count
+    is a counter, dispatch visits only the executors with a free slot,
+    and between other events the policy is woken only at the times its
+    ``next_tick`` returns.
+    """
     p = params or SimParams()
     rng = np.random.default_rng(seed)
     e_c = p.cores_per_executor
@@ -153,31 +162,34 @@ def simulate(
     for s in graph.stages:
         for par in s.parents:
             children[par].append(s.stage_id)
+    # one draw for every task yields the same stream as one draw per task;
+    # math.exp, unlike np.exp, keeps each duration's last bit
+    z = iter(rng.standard_normal(sum(s.num_tasks for s in graph.stages)).tolist())
     noisy: list[list[float]] = [
         [
-            d * app_factor * eff * math.exp(p.task_noise_sigma * rng.standard_normal())
-            for d in s.task_durations
+            d * app_factor * eff * math.exp(p.task_noise_sigma * zi)
+            for d, zi in zip(s.task_durations, z)
         ]
         for s in graph.stages
     ]
-    pending: list[list[float]] = [[] for _ in range(n_stages)]  # runnable queues
+    pending: list[deque[float]] = [deque() for _ in range(n_stages)]  # runnable queues
+    n_pending = 0  # tasks in all runnable queues
+    peak_pending = 0
     tasks_left = [len(d) for d in noisy]
     stage_start = [math.inf] * n_stages
     stage_end = [0.0] * n_stages
-    done = [False] * n_stages
-    ready_order: list[int] = []  # FIFO of stages with runnable tasks
+    ready_order: deque[int] = deque()  # FIFO of stages with runnable tasks
 
     # --- event queue -------------------------------------------------------
     # events: (time, seq, kind, payload)
-    evq: list[tuple[float, int, str, int]] = []
-    seq = 0
+    evq: list[tuple[float, int, str, object]] = []
+    seq = itertools.count()
 
-    def push(t: float, kind: str, payload: int = 0) -> None:
-        nonlocal seq
-        heapq.heappush(evq, (t, seq, kind, payload))
-        seq += 1
+    def push(t: float, kind: str, payload: object = None) -> None:
+        heapq.heappush(evq, (t, next(seq), kind, payload))
 
     pool = _Pool()
+    free: set[int] = set()  # ids of live executors with a free slot
     inflight = 0  # requested executors not yet arrived
     next_arrival_at = 0.0
     running = 0  # running task count
@@ -201,52 +213,44 @@ def simulate(
         # stage's serial driver overhead precedes its first task
         push(now + graph.stage_overhead_sec * app_factor, "stage_runnable", sid)
 
-    def view(now: float) -> ClusterView:
-        return ClusterView(
-            time=now,
-            pending_tasks=sum(len(q) for q in pending),
-            running_tasks=running,
-            live_executors=len(pool.executors),
-            inflight_executors=inflight,
-            cores_per_executor=e_c,
-        )
-
     def apply_policy(now: float) -> None:
-        tgt = policy.target(view(now))
-        have = len(pool.executors) + inflight
+        live = len(pool.executors)
+        tgt = policy.target(ClusterView(now, n_pending, running, live, inflight, e_c))
+        have = live + inflight
         if tgt > have:
             schedule_arrivals(now, tgt - have, instant=False)
 
     def dispatch(now: float) -> None:
         """Assign runnable tasks to free executor slots (FIFO by stage)."""
-        nonlocal running
-        free = [e for e in pool.executors.values() if e.busy < e_c]
-        for ex in free:
+        nonlocal running, n_pending
+        if not ready_order or not free:
+            return
+        # memory pressure / spill: heavily overcommitted pools run each
+        # task slower — the superlinear low-n cost Sparklens's linear
+        # replay cannot see (it drives Fig 9's E(1) shape). A task's backlog
+        # is the tasks still queued after its pop plus those running before
+        # it starts; every pop is followed by a start, so the backlog is the
+        # same for each task this call places.
+        total_slots = max(1, len(pool.executors) * e_c)
+        over = (n_pending - 1 + running) / total_slots
+        slowdown = 1.0 + p.overcommit_coeff * math.log2(over) if over > 1.0 else 1.0
+        for eid in sorted(free):  # ids only grow: the order executors joined
+            ex = pool.executors[eid]
             while ex.busy < e_c and ready_order:
                 sid = ready_order[0]
-                if not pending[sid]:
-                    ready_order.pop(0)
-                    continue
-                dur = pending[sid].pop(0)
-                # memory pressure / spill: heavily overcommitted pools run
-                # each task slower — the superlinear low-n cost Sparklens's
-                # linear replay cannot see (it drives Fig 9's E(1) shape)
-                total_slots = max(1, len(pool.executors) * e_c)
-                backlog = sum(len(q) for q in pending) + running
-                over = backlog / total_slots
-                if over > 1.0:
-                    dur *= 1.0 + p.overcommit_coeff * math.log2(over)
+                queue = pending[sid]
+                dur = queue.popleft() * slowdown
+                n_pending -= 1
                 ex.busy += 1
                 running += 1
                 stage_start[sid] = min(stage_start[sid], now)
-                push(now + dur, "task_end", _pack(ex.eid, sid))
-                if not pending[sid]:
-                    ready_order.pop(0)
+                push(now + dur, "task_end", (eid, sid))
+                if not queue:
+                    ready_order.popleft()
+            if ex.busy == e_c:
+                free.remove(eid)
             if not ready_order:
                 break
-
-    def _pack(eid: int, sid: int) -> int:
-        return eid * 100_000 + sid
 
     # --- kick off ----------------------------------------------------------
     init = policy.initial_target()
@@ -257,38 +261,38 @@ def simulate(
             push(startup, "stage_runnable", s.stage_id)
     push(0.0, "policy_tick")
 
-    idle_check_at: dict[int, float] = {}
     now = 0.0
+    events = 0
     while evq and finished_stages < n_stages:
         now, _, kind, payload = heapq.heappop(evq)
-        if kind == "arrive":
-            inflight -= 1
-            eid = pool.add(now)
-            idle_check_at[eid] = now + p.idle_timeout_sec
-            push(now + p.idle_timeout_sec, "idle_check", eid)
-        elif kind == "stage_runnable":
-            sid = payload
-            pending[sid] = list(noisy[sid])
-            ready_order.append(sid)
-        elif kind == "task_end":
-            eid, sid = divmod(payload, 100_000)
+        events += 1
+        if kind == "task_end":
+            eid, sid = payload
             running -= 1
             tasks_left[sid] -= 1
-            stage_end[sid] = max(stage_end[sid], now)
-            ex = pool.executors.get(eid)
-            if ex is not None:
-                ex.busy -= 1
-                if ex.busy == 0:
-                    ex.idle_since = now
-                    idle_check_at[eid] = now + p.idle_timeout_sec
-                    push(now + p.idle_timeout_sec, "idle_check", eid)
-            if tasks_left[sid] == 0 and not done[sid]:
-                done[sid] = True
+            ex = pool.executors[eid]  # busy executors are never removed
+            ex.busy -= 1
+            free.add(eid)
+            if ex.busy == 0:
+                ex.idle_since = now
+                push(now + p.idle_timeout_sec, "idle_check", eid)
+            if tasks_left[sid] == 0:  # events pop in time order: this is the last end
+                stage_end[sid] = now
                 finished_stages += 1
                 for child in children[sid]:
                     missing_parents[child] -= 1
                     if missing_parents[child] == 0:
                         make_ready(child, now)
+        elif kind == "arrive":
+            inflight -= 1
+            eid = pool.add(now)
+            free.add(eid)
+            push(now + p.idle_timeout_sec, "idle_check", eid)
+        elif kind == "stage_runnable":
+            pending[payload].extend(noisy[payload])
+            n_pending += len(noisy[payload])
+            peak_pending = max(peak_pending, n_pending)
+            ready_order.append(payload)
         elif kind == "idle_check":
             eid = payload
             ex = pool.executors.get(eid)
@@ -296,16 +300,15 @@ def simulate(
                 policy.remove_idle
                 and ex is not None
                 and ex.busy == 0
-                and idle_check_at.get(eid, math.inf) <= now
+                and ex.idle_since + p.idle_timeout_sec <= now  # not a stale check
                 and now - ex.idle_since >= p.idle_timeout_sec - 1e-9
             ):
                 pool.remove(now, eid)
-        elif kind == "policy_tick":
-            pass
+                free.remove(eid)
         apply_policy(now)
         dispatch(now)
-        if kind == "policy_tick" and finished_stages < n_stages:
-            push(now + 1.0, "policy_tick")  # DA backlog timer granularity
+        if kind == "policy_tick" and (tick := policy.next_tick(now)) is not None:
+            push(tick, "policy_tick")
 
     elapsed = now + 1.0 * app_factor  # app teardown
     pool.finish(elapsed)
@@ -327,4 +330,6 @@ def simulate(
         skyline=pool.skyline,
         stage_logs=logs,
         e_c=e_c,
+        events=events,
+        peak_pending=peak_pending,
     )

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.allocation import (
     DynamicAllocation,
@@ -12,7 +14,7 @@ from repro.cluster.allocation import (
     StaticAllocation,
 )
 from repro.cluster.simulator import SimParams, core_efficiency, simulate
-from repro.cluster.taskgraph import build_task_graph
+from repro.cluster.taskgraph import Stage, TaskGraph, build_task_graph
 from repro.core.features import PlanNode
 from repro.experiments.common import _skeleton_from_json, ground_truth_times, sparklens_times
 
@@ -139,6 +141,66 @@ class TestPredictiveRule:
         rule = simulate(g, PredictiveRule(n_predicted=16), seed=0)
         sa = simulate(g, StaticAllocation(16), seed=0)
         assert rule.auc < sa.auc
+
+
+class TestRunCounters:
+    def test_sa_processes_fewer_events_than_da(self, graph):
+        """Only DA runs the 1 s backlog timer; SA wakes for no tick after t=0."""
+        sa = simulate(graph, StaticAllocation(8), seed=0)
+        da = simulate(graph, DynamicAllocation(1, 48), seed=0)
+        assert sa.events < da.events
+
+
+@st.composite
+def task_graphs(draw):
+    """Random DAGs: 1–8 stages, parents among earlier stages, 1–40 tasks each."""
+    stages = []
+    for sid in range(draw(st.integers(1, 8))):
+        parents = draw(st.sets(st.integers(0, sid - 1), max_size=3)) if sid else set()
+        durations = draw(
+            st.lists(st.floats(0.1, 30.0, allow_nan=False), min_size=1, max_size=40)
+        )
+        stages.append(Stage(sid, tuple(sorted(parents)), tuple(durations)))
+    return TaskGraph(
+        query=f"g{draw(st.integers(0, 999))}",
+        stages=stages,
+        stage_overhead_sec=draw(st.floats(0.0, 3.0)),
+        app_startup_sec=draw(st.floats(0.0, 25.0)),
+    )
+
+
+policies = st.one_of(
+    st.integers(1, 48).map(StaticAllocation),
+    st.integers(1, 48).map(lambda m: DynamicAllocation(1, m)),
+    st.integers(1, 48).map(lambda n: PredictiveRule(n_predicted=n)),
+)
+
+
+class TestRandomGraphInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(task_graphs(), policies, st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**16))
+    def test_run_invariants(self, graph, policy, e_c, seed):
+        r = simulate(graph, policy, params=SimParams(cores_per_executor=e_c), seed=seed)
+        logs = r.stage_logs
+        assert [len(log.task_durations) for log in logs] == [
+            s.num_tasks for s in graph.stages
+        ]
+        # critical path: no stage finishes before its longest task has run
+        path: list[float] = []
+        for s, log in zip(graph.stages, logs):
+            path.append(max(log.task_durations) + max((path[q] for q in s.parents), default=0.0))
+        assert r.elapsed >= max(path)
+        for s, log in zip(graph.stages, logs):
+            assert all(log.start >= logs[q].end for q in s.parents)
+        total = sum(sum(log.task_durations) for log in logs)
+        assert r.elapsed >= total / (r.max_executors * e_c)
+        integral = sum(n0 * (t1 - t0) for (t0, n0), (t1, _) in zip(r.skyline, r.skyline[1:]))
+        assert integral == pytest.approx(r.auc, rel=1e-9)
+        if isinstance(policy, StaticAllocation):
+            assert r.auc == pytest.approx(policy.n * r.elapsed, rel=1e-9)
+        tasks = sum(s.num_tasks for s in graph.stages)
+        assert r.events >= tasks + len(graph.stages)  # every task end and stage start
+        assert max(s.num_tasks for s in graph.stages) <= r.peak_pending <= tasks
 
 
 class TestCoreEfficiency:
