@@ -65,6 +65,10 @@ class Stage:
     parents: tuple[int, ...]
     task_durations: tuple[float, ...]  # noise-free base durations, seconds
 
+    def __post_init__(self) -> None:
+        if not self.task_durations:
+            raise ValueError(f"stage {self.stage_id} has no tasks")
+
     @property
     def num_tasks(self) -> int:
         return len(self.task_durations)

@@ -36,14 +36,13 @@ class RandomForestRegressor:
         y = np.asarray(y, dtype=float)
         self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.random_state)
-        trees = []
-        for _ in range(self.n_estimators):
-            idx = rng.integers(0, len(X), size=len(X))  # bootstrap sample
+        samples = np.empty((self.n_estimators, len(X)), dtype=int)
+        for t in range(self.n_estimators):
+            samples[t] = rng.integers(0, len(X), size=len(X))  # bootstrap sample
             # Unused since trees stopped subsampling features; drawn anyway so
             # every later bootstrap sample, and so every forest, stays the same.
             rng.integers(0, 2**31 - 1)
-            trees.append(tree_mod.fit_tree(X[idx], y[idx]))
-        self._stack(trees)
+        self.nodes_, self.roots_ = tree_mod.grow(X, y, samples)
         return self
 
     def _stack(self, trees: list[Tree]) -> None:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _neg_mse(model, X: np.ndarray, y: np.ndarray) -> float:
-    pred = np.asarray(model.predict(X), dtype=float)
+def _neg_mse(pred: np.ndarray, y: np.ndarray) -> float:
+    pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
     if pred.ndim == 1:
         pred = pred[:, None]
@@ -32,18 +32,23 @@ def permutation_importance(
 ) -> dict[str, np.ndarray]:
     """Return ``{"importances_mean", "importances_std", "importances"}``.
 
-    ``importances`` has shape ``(n_features, n_repeats)``.
+    ``importances`` has shape ``(n_features, n_repeats)``. The repeats of
+    one feature are scored with one ``model.predict`` call on their
+    stacked rows; predictions are row-independent, so each repeat's slice
+    equals a prediction of that repeat alone.
     """
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(random_state)
-    base = _neg_mse(model, X, y)
-    n_features = X.shape[1]
+    base = _neg_mse(model.predict(X), y)
+    n, n_features = X.shape
     imp = np.zeros((n_features, n_repeats))
     for f in range(n_features):
+        Xp = np.repeat(X[None], n_repeats, axis=0)
         for r in range(n_repeats):
-            Xp = X.copy()
-            Xp[:, f] = rng.permutation(Xp[:, f])
-            imp[f, r] = base - _neg_mse(model, Xp, y)
+            Xp[r, :, f] = rng.permutation(X[:, f])
+        pred = model.predict(Xp.reshape(n_repeats * n, n_features))
+        for r in range(n_repeats):
+            imp[f, r] = base - _neg_mse(pred[r * n : (r + 1) * n], y)
     return {
         "importances_mean": imp.mean(axis=1),
         "importances_std": imp.std(axis=1),

@@ -1,6 +1,7 @@
 """Unit tests for the Random-Forest substrate."""
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +83,9 @@ PINNED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(PINNED_SHA256))
-def test_pinned_parameter_forest(family):
-    """The PPM-parameter forests on the sf=0.1 snapshot predict bit for bit
-    as recorded, and one-row predictions equal rows of the batch."""
+def snapshot_fold(family):
+    """Fold 0 of the 5-fold CV on the sf=0.1 snapshot: training features,
+    PPM-parameter targets and test features."""
     from repro.core.parameter_model import TrainingExample, fit_ppm_targets
     from repro.core.training import kfold_indices
 
@@ -100,11 +100,31 @@ def test_pinned_parameter_forest(family):
         for i in train
     ]
     X = np.asarray([ex.features for ex in examples], dtype=float)
-    forest = RandomForestRegressor(n_estimators=100, random_state=0).fit(
-        X, fit_ppm_targets(family, examples)
-    )
     Xte = np.asarray([queries[i]["features"] for i in test], dtype=float)
+    return X, fit_ppm_targets(family, examples), Xte
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SHA256))
+def test_pinned_parameter_forest(family):
+    """The PPM-parameter forests on the sf=0.1 snapshot predict bit for bit
+    as recorded, and one-row predictions equal rows of the batch."""
+    X, y, Xte = snapshot_fold(family)
+    forest = RandomForestRegressor(n_estimators=100, random_state=0).fit(X, y)
     batch = forest.predict(Xte)
     assert hashlib.sha256(batch.tobytes()).hexdigest() == PINNED_SHA256[family]
     for row, expected in zip(Xte, batch):
         assert forest.predict(row[None, :])[0].tobytes() == expected.tobytes()
+
+
+def test_forest_fit_memory_is_bounded():
+    """The forest grows level by level in bounded chunks: a 100-tree fit on
+    the snapshot fold allocates a few MB at its peak, not a whole level's
+    padded temporaries (about 40 MB)."""
+    X, y, _ = snapshot_fold("AE_PL")
+    tracemalloc.start()
+    try:
+        RandomForestRegressor(n_estimators=100, random_state=0).fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -53,3 +53,26 @@ def test_multi_output_supported():
     f = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
     res = permutation_importance(f, X, y, n_repeats=5, random_state=0)
     assert int(np.argmax(res["importances_mean"])) == 0
+
+
+def test_batched_repeats_equal_one_predict_per_repeat():
+    """Scoring all repeats of a feature with one stacked predict gives the
+    importances of one predict per repeat, bit for bit."""
+    rng = np.random.default_rng(5)
+    X = rng.random((30, 4))
+    for y in (X[:, 0] + X[:, 1], np.stack([X[:, 0], X[:, 2] * 3, X[:, 3]], axis=1)):
+        f = RandomForestRegressor(n_estimators=8, random_state=0).fit(X, y)
+        res = permutation_importance(f, X, y, n_repeats=6, random_state=2)
+
+        def neg_mse(Xs):
+            pred = np.asarray(f.predict(Xs)).reshape(len(Xs), -1)
+            return -float(np.mean((pred - y.reshape(len(Xs), -1)) ** 2))
+
+        perm = np.random.default_rng(2)
+        ref = np.zeros((4, 6))
+        for j in range(4):
+            for r in range(6):
+                Xp = X.copy()
+                Xp[:, j] = perm.permutation(Xp[:, j])
+                ref[j, r] = neg_mse(X) - neg_mse(Xp)
+        assert np.array_equal(res["importances"], ref)

@@ -1,7 +1,7 @@
 """Unit tests for the Catalyst-skeleton → task-graph builder."""
 import pytest
 
-from repro.cluster.taskgraph import CostParams, TaskGraph, build_task_graph
+from repro.cluster.taskgraph import CostParams, Stage, TaskGraph, build_task_graph
 from repro.core.features import PlanNode
 
 
@@ -115,3 +115,9 @@ class TestBuildTaskGraph:
         assert isinstance(g, TaskGraph)
         assert g.total_work > 0
         assert g.max_stage_tasks >= 1
+
+
+def test_stage_without_tasks_rejected():
+    """A stage with no tasks could never finish; it is refused on creation."""
+    with pytest.raises(ValueError, match="no tasks"):
+        Stage(stage_id=1, parents=(0,), task_durations=())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import _best_split, fit_tree, predict
+from repro.ml.tree import Tree, _sum_outputs, fit_tree, predict
 
 
 def predict_one(tree, X):
@@ -36,6 +36,26 @@ def scan_split(X, y):
             best_score, k = float(sse[j]), int(i[j])
             best = (f, float((xs[k - 1] + xs[k]) / 2.0))
     return best
+
+
+def reference_tree(X, y):
+    """Depth-first CART on :func:`scan_split`, nodes numbered in pre-order."""
+    nodes = []  # [feature, threshold, left, right, value]
+
+    def grow(rows):
+        i = len(nodes)
+        ys = y[rows]
+        nodes.append([-1, 0.0, -1, -1, ys.mean(axis=0)])
+        split = None if len(rows) < 2 or (ys == ys[0]).all() else scan_split(X[rows], ys)
+        if split:
+            mask = X[rows, split[0]] <= split[1]
+            nodes[i][:2] = split
+            nodes[i][2] = grow(rows[mask])
+            nodes[i][3] = grow(rows[~mask])
+        return i
+
+    grow(np.arange(len(X)))
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 @pytest.fixture
@@ -89,11 +109,14 @@ class TestDecisionTree:
 
 
 @st.composite
-def training_sets(draw):
-    """Integer-valued X (so columns tie) and dyadic y with 1–3 outputs.
+def training_sets(draw, denominator=8):
+    """Integer-valued X (so columns tie) and y = integers / ``denominator``
+    with 1–3 outputs.
 
-    Dyadic targets sum exactly, so a leaf mean is the correctly rounded
-    true mean and cannot leave its samples' range.
+    The default makes targets dyadic: they sum exactly, so a leaf mean is
+    the correctly rounded true mean and cannot leave its samples' range.
+    Other denominators make sums round, so the order of every sum and the
+    tie-break between near-equal splits show in the result.
     """
     n = draw(st.integers(1, 25))
     n_features = draw(st.integers(1, 4))
@@ -102,7 +125,7 @@ def training_sets(draw):
     y = draw(st.lists(st.integers(-800, 800), min_size=n * n_outputs, max_size=n * n_outputs))
     return (
         np.asarray(X, dtype=float).reshape(n, n_features),
-        np.asarray(y, dtype=float).reshape(n, n_outputs) / 8,
+        np.asarray(y, dtype=float).reshape(n, n_outputs) / denominator,
     )
 
 
@@ -120,8 +143,31 @@ class TestTreeProperties:
     @given(training_sets())
     def test_split_matches_feature_by_feature_scan(self, data):
         X, y = data
-        if len(X) > 1:
-            assert _best_split(X, y) == scan_split(X, y)
+        t = fit_tree(X, y)
+        expected = None if len(X) < 2 or (y == y[0]).all() else scan_split(X, y)
+        root = (int(t.feature[0]), float(t.threshold[0])) if t.feature[0] >= 0 else None
+        assert root == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(training_sets(), training_sets(denominator=10)), st.integers(0, 2**16))
+    def test_forest_trees_equal_depth_first_reference(self, data, seed):
+        X, y = data
+        f = RandomForestRegressor(n_estimators=5, random_state=seed).fit(X, y)
+        rng = np.random.default_rng(seed)
+        ends = np.append(f.roots_[1:], len(f.nodes_.feature))
+        for root, end in zip(f.roots_, ends):
+            idx = rng.integers(0, len(X), size=len(X))
+            rng.integers(0, 2**31 - 1)
+            ref = reference_tree(X[idx], y[idx])
+            got = Tree(*(a[root:end] for a in f.nodes_))
+            for name in ("feature", "threshold", "left", "right"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            if y.shape[1] > 1:
+                assert np.array_equal(got.value, ref.value)
+            else:  # numpy sums a single column pairwise, the grower in row order;
+                # either sum is within (n - 1) eps sum|y| of the true one
+                bound = 2 * len(X) * np.finfo(float).eps * np.abs(y).max()
+                assert np.allclose(got.value, ref.value, rtol=0, atol=bound)
 
     @settings(max_examples=30, deadline=None)
     @given(training_sets(), st.integers(0, 2**16))
@@ -153,3 +199,11 @@ class TestTreeProperties:
         _, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
         distinct = counts[inverse.ravel()] == 1
         assert np.allclose(predict_one(fit_tree(X, y), X)[distinct], y[distinct])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**16))
+    def test_output_sum_matches_numpy_order(self, n_outputs, seed):
+        """Split scores sum their outputs exactly as ``sum(axis=-1)`` does."""
+        scale = np.array([1.0, 1e3, 1e-3])[:n_outputs]
+        a = np.random.default_rng(seed).standard_normal((7, 5, n_outputs)) * scale
+        assert np.array_equal(_sum_outputs(a), a.sum(axis=-1))
