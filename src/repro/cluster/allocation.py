@@ -6,7 +6,7 @@ comparison:
 - :class:`StaticAllocation` — all ``n`` executors requested at job
   submission, held for the whole application (paper "SA").
 - :class:`DynamicAllocation` — Spark's reactive scale-up: after tasks
-  have been backlogged for ``backlog_timeout_sec``, the policy requests
+  have been backlogged for :data:`BACKLOG_TIMEOUT_SEC`, the policy requests
   exponentially growing executor batches (1, 2, 4, …) bounded by the
   current need and ``max_n``; idle executors are removed reactively
   (paper "DA(1,48)").
@@ -14,23 +14,26 @@ comparison:
   then at optimizer-rule time the predicted count is requested in one
   shot; scale-up via DA is disabled, but reactive *de*-allocation of idle
   executors stays on (§4.6, paper "Rule").
+
+The timings are one fixed calibration: Spark's dynamic-allocation
+defaults and a rule that fires once, at optimization time (§5.1, §5.4).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-
-@dataclass
-class ClusterView:
-    """Policy-visible snapshot of simulator state at an event."""
-
-    time: float
-    pending_tasks: int
-    running_tasks: int
-    live_executors: int
-    inflight_executors: int  # requested, not yet arrived
-    cores_per_executor: int
+#: DA: seconds a task backlog must last before each scale-up request
+#: (spark.dynamicAllocation.schedulerBacklogTimeout and its sustained twin)
+BACKLOG_TIMEOUT_SEC = 1.0
+#: DA: requests pile up while earlier grants are still in flight, so the
+#: target overshoots the instantaneous need (the paper's "risk of ...
+#: exponentially overshooting the required count", §2.3)
+OVERSHOOT = 2.0
+#: Rule: executors the application starts with (the paper's example, n=5)
+RULE_INITIAL_N = 5
+#: Rule: when the optimizer rule fires, late in query compilation
+RULE_TIME_SEC = 7.0
 
 
 class AllocationPolicy:
@@ -45,7 +48,12 @@ class AllocationPolicy:
     def initial_target(self) -> int:
         raise NotImplementedError
 
-    def target(self, view: ClusterView) -> int:
+    def target(self, now: float, pending: int, running: int, live: int, e_c: int) -> int:
+        """Executor target after an event at time ``now``.
+
+        ``pending`` tasks wait for a free slot, ``running`` tasks hold one,
+        ``live`` executors have arrived, and each has ``e_c`` slots.
+        """
         raise NotImplementedError
 
     def next_tick(self, now: float) -> float | None:
@@ -72,7 +80,7 @@ class StaticAllocation(AllocationPolicy):
     def initial_target(self) -> int:
         return self.n
 
-    def target(self, view: ClusterView) -> int:
+    def target(self, now: float, pending: int, running: int, live: int, e_c: int) -> int:
         return self.n
 
 
@@ -81,7 +89,7 @@ class DynamicAllocation(AllocationPolicy):
     """DA(min,max): Spark dynamic allocation semantics.
 
     Scale-up: once the task backlog has been sustained for
-    ``backlog_timeout_sec``, add ``1`` executor, then on each further
+    :data:`BACKLOG_TIMEOUT_SEC`, add ``1`` executor, then on each further
     sustained interval double the batch (2, 4, 8, …) — capped both by
     ``max_n`` and by the executors actually needed for the current
     pending+running tasks. Scale-down: the engine removes executors idle
@@ -90,12 +98,6 @@ class DynamicAllocation(AllocationPolicy):
 
     min_n: int = 1
     max_n: int = 48
-    backlog_timeout_sec: float = 1.0
-    sustained_timeout_sec: float = 1.0
-    #: requests pile up while earlier grants are still in flight, so the
-    #: target overshoots the instantaneous need (the paper's "risk of ...
-    #: exponentially overshooting the required count", §2.3)
-    overshoot: float = 2.0
     name: str = field(init=False)
     remove_idle = True
     instant_initial = False
@@ -109,51 +111,39 @@ class DynamicAllocation(AllocationPolicy):
     def initial_target(self) -> int:
         return self.min_n
 
-    def _max_needed(self, view: ClusterView) -> int:
-        tasks = view.pending_tasks + view.running_tasks
-        need = math.ceil(self.overshoot * tasks / max(1, view.cores_per_executor))
-        return max(self.min_n, need)
-
-    def target(self, view: ClusterView) -> int:
-        backlogged = view.pending_tasks > 0
-        if not backlogged:
+    def target(self, now: float, pending: int, running: int, live: int, e_c: int) -> int:
+        if not pending:
             self._backlog_since = None
             self._next_add = 1
             # track down toward current need so removals are not re-requested
-            self._target = min(self._target, max(self.min_n, view.live_executors))
+            self._target = min(self._target, max(self.min_n, live))
             return self._target
         if self._backlog_since is None:
-            self._backlog_since = view.time
+            self._backlog_since = now
             return self._target
-        wait = (
-            self.backlog_timeout_sec if self._next_add == 1 else self.sustained_timeout_sec
-        )
-        if view.time - self._backlog_since >= wait:
-            proposed = self._target + self._next_add
-            self._target = min(self.max_n, self._max_needed(view), proposed)
+        if now - self._backlog_since >= BACKLOG_TIMEOUT_SEC:
+            need = max(self.min_n, math.ceil(OVERSHOOT * (pending + running) / max(1, e_c)))
+            self._target = min(self.max_n, need, self._target + self._next_add)
             self._next_add *= 2
-            self._backlog_since = view.time
+            self._backlog_since = now
         return self._target
 
     def next_tick(self, now: float) -> float | None:
         # the backlog timer's granularity: a sustained backlog is noticed
-        # within 1 s even when no task starts or ends meanwhile
-        return now + 1.0
+        # within one timeout even when no task starts or ends meanwhile
+        return now + BACKLOG_TIMEOUT_SEC
 
 
 @dataclass
 class PredictiveRule(AllocationPolicy):
     """AutoExecutor Rule: predictive allocation + reactive deallocation.
 
-    ``n_predicted`` is requested once at ``rule_time_sec`` (the moment the
-    optimizer rule fires, late in query compilation); before that the app
-    runs with ``initial_n`` (the paper's example starts with n=5). No
-    reactive scale-up; idle executors are released (§4.6).
+    ``n_predicted`` is requested once at :data:`RULE_TIME_SEC`; before
+    that the app runs with :data:`RULE_INITIAL_N` executors. No reactive
+    scale-up; idle executors are released (§4.6).
     """
 
     n_predicted: int
-    initial_n: int = 5
-    rule_time_sec: float = 7.0
     name: str = field(init=False)
     remove_idle = True
     instant_initial = False
@@ -162,18 +152,16 @@ class PredictiveRule(AllocationPolicy):
         self.name = f"Rule({self.n_predicted})"
 
     def initial_target(self) -> int:
-        return self.initial_n
+        return RULE_INITIAL_N
 
-    def target(self, view: ClusterView) -> int:
-        if view.time >= self.rule_time_sec:
-            return self.n_predicted
-        return self.initial_n
+    def target(self, now: float, pending: int, running: int, live: int, e_c: int) -> int:
+        return self.n_predicted if now >= RULE_TIME_SEC else RULE_INITIAL_N
 
     def next_tick(self, now: float) -> float | None:
-        """Wake once, at ``rule_time_sec``: the target depends on time alone.
+        """Wake once, at :data:`RULE_TIME_SEC`: the target depends on time alone.
 
-        With a whole-second ``rule_time_sec``, such as the default 7.0, a
-        timer ticking every whole second would issue the request at the
-        same instant, so runs equal those of a 1 s timer bit for bit.
+        :data:`RULE_TIME_SEC` is a whole second, so a timer ticking every
+        whole second would issue the request at the same instant, and runs
+        equal those of a 1 s timer bit for bit.
         """
-        return self.rule_time_sec if now < self.rule_time_sec else None
+        return RULE_TIME_SEC if now < RULE_TIME_SEC else None

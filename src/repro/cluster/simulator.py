@@ -34,22 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.allocation import AllocationPolicy, ClusterView
+from repro.cluster.allocation import AllocationPolicy
 from repro.cluster.taskgraph import TaskGraph
 
 
-@dataclass
-class SimParams:
-    """Cluster-environment knobs (Synapse-pool analogue)."""
-
-    cores_per_executor: int = 4
-    grant_delay_sec: float = 2.0  # cluster-manager response to a request
-    arrival_spacing_sec: float = 0.45  # staggered joins → 48 in ~27 s
-    idle_timeout_sec: float = 60.0  # spark.dynamicAllocation.executorIdleTimeout
-    overcommit_coeff: float = 0.09  # spill/contention slowdown when slots ≪ runnable tasks
-    app_noise_sigma: float = 0.035
-    task_noise_sigma: float = 0.10
-    arrival_jitter_sigma: float = 0.15
+# The pool's fixed calibration (Synapse medium nodes, §5.1)
+GRANT_DELAY_SEC = 2.0  # cluster-manager response to a request
+ARRIVAL_SPACING_SEC = 0.45  # staggered joins → 48 in ~27 s
+IDLE_TIMEOUT_SEC = 60.0  # spark.dynamicAllocation.executorIdleTimeout
+OVERCOMMIT_COEFF = 0.09  # spill/contention slowdown when slots ≪ runnable tasks
+APP_NOISE_SIGMA = 0.035
+TASK_NOISE_SIGMA = 0.10
+ARRIVAL_JITTER_SIGMA = 0.15
 
 
 @dataclass
@@ -139,20 +135,18 @@ def simulate(
     graph: TaskGraph,
     policy: AllocationPolicy,
     *,
-    params: SimParams | None = None,
+    e_c: int = 4,
     seed: int = 0,
 ) -> RunResult:
-    """Run one application under ``policy`` and return its metrics.
+    """Run one application under ``policy`` on executors of ``e_c`` cores.
 
     No event rescans the stage queues or the pool: the queued-task count
     is a counter, dispatch visits only the executors with a free slot,
     and between other events the policy is woken only at the times its
     ``next_tick`` returns.
     """
-    p = params or SimParams()
     rng = np.random.default_rng(seed)
-    e_c = p.cores_per_executor
-    app_factor = math.exp(p.app_noise_sigma * rng.standard_normal())
+    app_factor = math.exp(APP_NOISE_SIGMA * rng.standard_normal())
     eff = core_efficiency(graph.query, e_c)
 
     # --- stage bookkeeping -------------------------------------------------
@@ -167,7 +161,7 @@ def simulate(
     z = iter(rng.standard_normal(sum(s.num_tasks for s in graph.stages)).tolist())
     noisy: list[list[float]] = [
         [
-            d * app_factor * eff * math.exp(p.task_noise_sigma * zi)
+            d * app_factor * eff * math.exp(TASK_NOISE_SIGMA * zi)
             for d, zi in zip(s.task_durations, z)
         ]
         for s in graph.stages
@@ -201,9 +195,9 @@ def simulate(
             if instant:
                 t_arr = now
             else:
-                base = max(now + p.grant_delay_sec, next_arrival_at)
-                t_arr = base + p.arrival_spacing_sec * (
-                    1.0 + p.arrival_jitter_sigma * float(rng.random())
+                base = max(now + GRANT_DELAY_SEC, next_arrival_at)
+                t_arr = base + ARRIVAL_SPACING_SEC * (
+                    1.0 + ARRIVAL_JITTER_SIGMA * float(rng.random())
                 )
                 next_arrival_at = t_arr
             inflight += 1
@@ -215,7 +209,7 @@ def simulate(
 
     def apply_policy(now: float) -> None:
         live = len(pool.executors)
-        tgt = policy.target(ClusterView(now, n_pending, running, live, inflight, e_c))
+        tgt = policy.target(now, n_pending, running, live, e_c)
         have = live + inflight
         if tgt > have:
             schedule_arrivals(now, tgt - have, instant=False)
@@ -233,7 +227,7 @@ def simulate(
         # same for each task this call places.
         total_slots = max(1, len(pool.executors) * e_c)
         over = (n_pending - 1 + running) / total_slots
-        slowdown = 1.0 + p.overcommit_coeff * math.log2(over) if over > 1.0 else 1.0
+        slowdown = 1.0 + OVERCOMMIT_COEFF * math.log2(over) if over > 1.0 else 1.0
         for eid in sorted(free):  # ids only grow: the order executors joined
             ex = pool.executors[eid]
             while ex.busy < e_c and ready_order:
@@ -275,7 +269,7 @@ def simulate(
             free.add(eid)
             if ex.busy == 0:
                 ex.idle_since = now
-                push(now + p.idle_timeout_sec, "idle_check", eid)
+                push(now + IDLE_TIMEOUT_SEC, "idle_check", eid)
             if tasks_left[sid] == 0:  # events pop in time order: this is the last end
                 stage_end[sid] = now
                 finished_stages += 1
@@ -287,7 +281,7 @@ def simulate(
             inflight -= 1
             eid = pool.add(now)
             free.add(eid)
-            push(now + p.idle_timeout_sec, "idle_check", eid)
+            push(now + IDLE_TIMEOUT_SEC, "idle_check", eid)
         elif kind == "stage_runnable":
             pending[payload].extend(noisy[payload])
             n_pending += len(noisy[payload])
@@ -300,8 +294,8 @@ def simulate(
                 policy.remove_idle
                 and ex is not None
                 and ex.busy == 0
-                and ex.idle_since + p.idle_timeout_sec <= now  # not a stale check
-                and now - ex.idle_since >= p.idle_timeout_sec - 1e-9
+                and ex.idle_since + IDLE_TIMEOUT_SEC <= now  # not a stale check
+                and now - ex.idle_since >= IDLE_TIMEOUT_SEC - 1e-9
             ):
                 pool.remove(now, eid)
                 free.remove(eid)

@@ -29,7 +29,6 @@ class SparklensReport:
     """Post-hoc analysis of one run: estimates for candidate counts."""
 
     query: str
-    observed_n: int
     driver_time: float
     # one entry per concurrency cluster: (total_task_time, critical_task)
     cluster_work: list[tuple[float, float]]
@@ -46,31 +45,30 @@ class SparklensReport:
         return {int(n): self.estimate(int(n)) for n in ns}
 
 
-def _merge_intervals(spans: list[tuple[float, float, int]]):
-    """Group stage indices whose [start, end) intervals overlap."""
-    spans = sorted(spans)
-    groups: list[list[int]] = []
-    cur_end = None
-    for s, e, idx in spans:
-        if cur_end is None or s > cur_end:
-            groups.append([idx])
-            cur_end = e
+def _merge_intervals(
+    spans: list[tuple[float, float, int]],
+) -> list[tuple[float, float, list[int]]]:
+    """Merge overlapping [start, end) intervals into ``(start, end, indices)``
+    groups, in start order."""
+    groups: list[tuple[float, float, list[int]]] = []
+    for s, e, idx in sorted(spans):
+        if groups and s <= groups[-1][1]:
+            start, end, members = groups[-1]
+            members.append(idx)
+            groups[-1] = (start, max(end, e), members)
         else:
-            groups[-1].append(idx)
-            cur_end = max(cur_end, e)
+            groups.append((s, e, [idx]))
     return groups
 
 
-def analyze(run: RunResult, *, observed_n: int) -> SparklensReport:
+def analyze(run: RunResult) -> SparklensReport:
     """Build a report from a completed run's task logs."""
-    logs = [l for l in run.stage_logs if l.task_durations]
-    spans = [(l.start, l.end, i) for i, l in enumerate(logs) if l.end > l.start]
-    groups = _merge_intervals(spans)
+    logs = run.stage_logs
+    merged = _merge_intervals([(l.start, l.end, i) for i, l in enumerate(logs) if l.end > l.start])
+    groups = [members for _, _, members in merged]
     grouped = {i for g in groups for i in g}
     # zero-span stages (instantaneous) each form their own cluster
-    for i, l in enumerate(logs):
-        if i not in grouped:
-            groups.append([i])
+    groups += [[i] for i in range(len(logs)) if i not in grouped]
     cluster_work = [
         (
             float(sum(sum(logs[i].task_durations) for i in g)),
@@ -78,22 +76,12 @@ def analyze(run: RunResult, *, observed_n: int) -> SparklensReport:
         )
         for g in groups
     ]
-    busy = 0.0
-    cur_start = cur_end = None
-    for s, e, _ in sorted(spans):
-        if cur_end is None or s > cur_end:
-            if cur_end is not None:
-                busy += cur_end - cur_start
-            cur_start, cur_end = s, e
-        else:
-            cur_end = max(cur_end, e)
-    if cur_end is not None:
-        busy += cur_end - cur_start
-    driver = max(0.0, run.elapsed - busy)
+    busy = 0.0  # a loop, not sum(): sum() compensates float error from Python 3.12
+    for start, end, _ in merged:
+        busy += end - start
     return SparklensReport(
         query=run.query,
-        observed_n=observed_n,
-        driver_time=driver,
+        driver_time=max(0.0, run.elapsed - busy),
         cluster_work=cluster_work,
         e_c=run.e_c,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.features import PlanNode
 
@@ -43,18 +43,15 @@ _PIPELINE_FACTOR = {
 _LEAF_NODES = {"LogicalRelation", "LogicalRDD", "LocalRelation", "Relation", "OneRowRelation"}
 
 
-@dataclass
-class CostParams:
-    """Calibration knobs for the synthetic cost model."""
-
-    scan_rate: float = 54.0  # sec of task work per MB scanned
-    bytes_per_scan_task: float = 64e3
-    bytes_per_shuffle_task: float = 32e3
-    max_tasks: int = 256  # upper bound on stage width
-    min_task_sec: float = 0.4  # scheduling + JVM floor per task
-    stage_overhead_sec: float = 1.6  # serial driver work per stage
-    app_startup_sec: float = 22.0  # driver/app submit + context init
-    skew_factor: float = 1.8  # longest task ≈ (1 + skew) × mean
+# The cost model's fixed calibration
+SCAN_RATE = 54.0  # sec of task work per MB scanned
+BYTES_PER_SCAN_TASK = 64e3
+BYTES_PER_SHUFFLE_TASK = 32e3
+MAX_TASKS = 256  # upper bound on stage width
+MIN_TASK_SEC = 0.4  # scheduling + JVM floor per task
+STAGE_OVERHEAD_SEC = 1.6  # serial driver work per stage
+APP_STARTUP_SEC = 22.0  # driver/app submit + context init
+SKEW_FACTOR = 1.8  # longest task ≈ (1 + skew) × mean
 
 
 @dataclass
@@ -111,9 +108,7 @@ def _stable_unit_hash(*parts) -> float:
     return int.from_bytes(h[:8], "big") / 2**64
 
 
-def _split_tasks(
-    total_sec: float, n_tasks: int, *, params: CostParams, salt: str
-) -> tuple[float, ...]:
+def _split_tasks(total_sec: float, n_tasks: int, *, salt: str) -> tuple[float, ...]:
     """Distribute stage work over tasks with deterministic mild skew.
 
     A Zipf-flavoured multiplier concentrates extra work in the first few
@@ -125,16 +120,15 @@ def _split_tasks(
     skew_seed = _stable_unit_hash(salt, "skew")
     out = []
     for i in range(n_tasks):
-        bump = params.skew_factor * skew_seed / (1 + i) ** 1.5
+        bump = SKEW_FACTOR * skew_seed / (1 + i) ** 1.5
         jitter = 0.85 + 0.3 * _stable_unit_hash(salt, i)
-        out.append(max(params.min_task_sec, base * (1 + bump) * jitter))
+        out.append(max(MIN_TASK_SEC, base * (1 + bump) * jitter))
     return tuple(out)
 
 
 class _Builder:
-    def __init__(self, query: str, params: CostParams):
+    def __init__(self, query: str):
         self.query = query
-        self.params = params
         self.stages: list[Stage] = []
 
     def _add_stage(
@@ -146,7 +140,7 @@ class _Builder:
                 stage_id=sid,
                 parents=parents,
                 task_durations=_split_tasks(
-                    total_sec, n_tasks, params=self.params, salt=f"{self.query}|{salt}|{sid}"
+                    total_sec, n_tasks, salt=f"{self.query}|{salt}|{sid}"
                 ),
             )
         )
@@ -161,12 +155,11 @@ class _Builder:
         that blow-up cascading through a 5-way star join would dominate
         every cost. Leaf sizes (real parquet footprints) stay authoritative.
         """
-        p = self.params
         name = node.name
         if not node.children or name in _LEAF_NODES:
             bytes_ = max(node.size_bytes, 1)
-            n_tasks = min(p.max_tasks, max(1, math.ceil(bytes_ / p.bytes_per_scan_task)))
-            total = bytes_ / 1e6 * p.scan_rate
+            n_tasks = min(MAX_TASKS, max(1, math.ceil(bytes_ / BYTES_PER_SCAN_TASK)))
+            total = bytes_ / 1e6 * SCAN_RATE
             sid = self._add_stage((), total, n_tasks, f"scan:{name}")
             return [(sid, float(bytes_))]
 
@@ -185,9 +178,7 @@ class _Builder:
             else:  # Sort, Window keep cardinality
                 eff_bytes = child_bytes
             total = work_bytes / 1e6 * _SHUFFLE_RATE[name]
-            n_tasks = min(
-                p.max_tasks, max(1, math.ceil(work_bytes / p.bytes_per_shuffle_task))
-            )
+            n_tasks = min(MAX_TASKS, max(1, math.ceil(work_bytes / BYTES_PER_SHUFFLE_TASK)))
             sid = self._add_stage(
                 tuple(s for s, _ in flat), total, n_tasks, f"shuffle:{name}"
             )
@@ -215,27 +206,24 @@ class _Builder:
         return [(s, max(1.0, b * out_factor)) for s, b in flat]
 
 
-def build_task_graph(
-    query: str, skeleton: PlanNode, *, params: CostParams | None = None
-) -> TaskGraph:
+def build_task_graph(query: str, skeleton: PlanNode) -> TaskGraph:
     """Translate an optimized-plan skeleton into a schedulable task graph.
 
     The final frontier gets a small serial "collect" stage so every graph
     has a single sink (like Spark's result stage).
     """
-    params = params or CostParams()
-    b = _Builder(query, params)
+    b = _Builder(query)
     frontier = b.build(skeleton)
     result_bytes = max(1.0, min(b_ for _, b_ in frontier))
     b._add_stage(
         tuple(s for s, _ in frontier),
-        max(params.min_task_sec, result_bytes / 1e6 * 2.0),
+        max(MIN_TASK_SEC, result_bytes / 1e6 * 2.0),
         1,
         "result",
     )
     return TaskGraph(
         query=query,
         stages=b.stages,
-        stage_overhead_sec=params.stage_overhead_sec,
-        app_startup_sec=params.app_startup_sec,
+        stage_overhead_sec=STAGE_OVERHEAD_SEC,
+        app_startup_sec=APP_STARTUP_SEC,
     )

@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame
 from repro.core import ppm as ppm_mod
 from repro.core.features import FEATURE_NAMES, featurize_plan
 from repro.core.parameter_model import ParameterModel, TrainingExample
-from repro.core.selection import elbow_point, factorize_cores, limited_slowdown
+from repro.core.selection import CANDIDATES, elbow_point, factorize_cores, limited_slowdown
 from repro.ml.portable import ModelRegistry, PortableModel
 
 
@@ -73,7 +73,6 @@ class AutoExecutorRule:
     registry: ModelRegistry
     model_name: str
     family: str
-    candidates: tuple[int, ...] = tuple(range(1, 49))
     strategy: tuple = ("slowdown", 1.05)
 
     def _load(self) -> PortableModel:
@@ -119,7 +118,7 @@ class AutoExecutorRule:
 
         t0 = time.perf_counter()
         ppm = ppm_mod.from_params(self.family, params)
-        times = {int(n): float(ppm.time(int(n))) for n in self.candidates}
+        times = {n: float(ppm.time(n)) for n in CANDIDATES}
         n_sel = self.select(times)
         timings["selection_ms"] = (time.perf_counter() - t0) * 1e3
 

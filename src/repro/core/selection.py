@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: executor counts a selection chooses from: the paper's pool of 1–48
+CANDIDATES = tuple(range(1, 49))
+
 
 def interpolate_times(times: dict[int, float], lo: int = 1, hi: int = 48) -> dict[int, float]:
     """Piecewise-linear interpolation of a sparse n→t map onto [lo, hi]."""

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.features import PlanNode, extract_skeleton, plan_features
+from repro.core.selection import CANDIDATES
 from repro.core.training import N_GRID, QueryRecord
 from repro.cluster.allocation import StaticAllocation
-from repro.cluster.simulator import SimParams, simulate
+from repro.cluster.simulator import simulate
 from repro.cluster.sparklens import analyze
 from repro.cluster.taskgraph import TaskGraph, build_task_graph
 from repro.workloads.tpcds_lite import QUERIES, materialize
@@ -55,41 +56,22 @@ def iqr_mean(values) -> float:
     return float(keep.mean()) if keep.size else float(v.mean())
 
 
-def ground_truth_times(
-    graph: TaskGraph,
-    *,
-    n_grid=N_GRID,
-    runs: int = RUNS_PER_N,
-    params: SimParams | None = None,
-) -> dict[int, float]:
-    """Averaged actual t(n) over repeated simulated runs."""
+def ground_truth_times(graph: TaskGraph, *, runs: int = RUNS_PER_N) -> dict[int, float]:
+    """Averaged actual t(n) over repeated simulated runs on the n grid."""
     out = {}
-    for n in n_grid:
+    for n in N_GRID:
         ts = [
-            simulate(
-                graph,
-                StaticAllocation(n),
-                params=params,
-                seed=stable_seed(graph.query, n, r, "gt"),
-            ).elapsed
+            simulate(graph, StaticAllocation(n), seed=stable_seed(graph.query, n, r, "gt")).elapsed
             for r in range(runs)
         ]
         out[int(n)] = iqr_mean(ts)
     return out
 
 
-def sparklens_times(
-    graph: TaskGraph, *, params: SimParams | None = None, ns=range(1, 49)
-) -> dict[int, float]:
-    """Estimates from a single run at n=16 (§5.1)."""
-    run16 = simulate(
-        graph,
-        StaticAllocation(16),
-        params=params,
-        seed=stable_seed(graph.query, 16, "sparklens"),
-    )
-    report = analyze(run16, observed_n=16)
-    return report.estimates(ns)
+def sparklens_times(graph: TaskGraph) -> dict[int, float]:
+    """Estimates for every candidate n from a single run at n=16 (§5.1)."""
+    run16 = simulate(graph, StaticAllocation(16), seed=stable_seed(graph.query, 16, "sparklens"))
+    return analyze(run16).estimates(CANDIDATES)
 
 
 def _skeleton_to_json(node: PlanNode) -> dict:

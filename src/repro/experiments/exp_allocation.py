@@ -25,10 +25,8 @@ from repro.cluster.allocation import (
     StaticAllocation,
 )
 from repro.cluster.simulator import RunResult, simulate
-from repro.core.selection import limited_slowdown
+from repro.core.selection import CANDIDATES, limited_slowdown
 from repro.experiments.common import Dataset, run_cv_cached, stable_seed
-
-FULL_RANGE = tuple(range(1, 49))
 
 
 def rule_predictions(ds: Dataset, *, h: float = 1.05, repeat: int = 0) -> dict[str, int]:
@@ -37,7 +35,7 @@ def rule_predictions(ds: Dataset, *, h: float = 1.05, repeat: int = 0) -> dict[s
     out: dict[str, int] = {}
     for fr in folds:
         for q, model in fr.predicted.items():
-            out[q] = limited_slowdown({n: model.time(n) for n in FULL_RANGE}, h)
+            out[q] = limited_slowdown({n: model.time(n) for n in CANDIDATES}, h)
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.allocation import StaticAllocation
-from repro.cluster.simulator import SimParams, simulate
+from repro.cluster.simulator import simulate
 from repro.experiments.common import Dataset, iqr_mean, stable_seed
 
 #: Table 1 — (e_c, n) with k = n * e_c
@@ -35,12 +35,11 @@ def run_config_grid(
         graph = ds.graph(rec.name)
         times: dict[tuple[int, int], float] = {}
         for e_c, n in TABLE1_CONFIGS:
-            params = SimParams(cores_per_executor=e_c)
             ts = [
                 simulate(
                     graph,
                     StaticAllocation(n),
-                    params=params,
+                    e_c=e_c,
                     seed=stable_seed(rec.name, e_c, n, r, "t1"),
                 ).elapsed
                 for r in range(runs)

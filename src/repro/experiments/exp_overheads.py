@@ -3,8 +3,9 @@
 Measures the reproduction's analogues of every number in §5.6:
 
 - per-point PPM parameter-fit time (paper ~0.3 ms),
-- Random-Forest training time over all 103 queries (paper ~79 ms with
-  sklearn's C implementation; ours is numpy, in one process),
+- Random-Forest training time over all 103 queries, the median of 5
+  fits (paper ~79 ms with sklearn's C implementation; ours is numpy, in
+  one process),
 - parameter-model scoring time (paper ~3.6 ms),
 - plan featurization time inside the optimizer (paper ~10.3 ms; needs a
   SparkSession, measured in ``benchmarks/bench_overheads.py``),
@@ -13,6 +14,7 @@ Measures the reproduction's analogues of every number in §5.6:
 """
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 from dataclasses import dataclass
@@ -44,9 +46,12 @@ def measure(ds: Dataset, *, family: str = "AE_PL") -> Overheads:
         ppm_mod.fit(family, ns, [ex.times[n] for n in ns])
     fit_ms = (time.perf_counter() - t0) / len(examples) * 1e3
 
-    t0 = time.perf_counter()
-    model = ParameterModel(family=family, random_state=0).fit(examples)
-    train_ms = (time.perf_counter() - t0) * 1e3
+    train = []  # one cold fit swings up to 2x with the host's load
+    for _ in range(5):
+        t0 = time.perf_counter()
+        model = ParameterModel(family=family, random_state=0).fit(examples)
+        train.append((time.perf_counter() - t0) * 1e3)
+    train_ms = statistics.median(train)
 
     feats = records[0].features
     model.predict_ppm(feats)  # warm

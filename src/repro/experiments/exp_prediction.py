@@ -20,22 +20,23 @@ from repro.core.training import (
 from repro.experiments.common import Dataset, run_cv_cached
 
 
-def fit_to_sparklens(ds: Dataset, *, ns=N_GRID) -> dict[str, dict[int, float]]:
+def fit_to_sparklens(ds: Dataset) -> dict[str, dict[int, float]]:
     """Fig 4: E(n) of each PPM family *against Sparklens estimates*."""
     out: dict[str, dict[int, float]] = {}
     for family in ("AE_PL", "AE_AL"):
-        err: dict[int, float] = {}
         fits = {}
         for r in ds.records:
             grid = sorted(r.sparklens_times)
             fits[r.name] = ppm_mod.fit(
                 family, grid, [r.sparklens_times[n] for n in grid]
             )
-        for n in ns:
-            num = sum(abs(fits[r.name].time(n) - r.sparklens_times[n]) for r in ds.records)
-            den = sum(r.sparklens_times[n] for r in ds.records)
-            err[int(n)] = num / den if den else 0.0
-        out[family] = err
+        out[family] = {
+            n: ppm_mod.error_metric(
+                {r.name: r.sparklens_times[n] for r in ds.records},
+                {r.name: fits[r.name].time(n) for r in ds.records},
+            )
+            for n in N_GRID
+        }
     return out
 
 

@@ -14,21 +14,14 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.selection import elbow_point, interpolate_times, limited_slowdown
+from repro.core.selection import CANDIDATES, elbow_point, interpolate_times, limited_slowdown
 from repro.experiments.common import Dataset, run_cv_cached
 
 H_VALUES = (1.0, 1.05, 1.1, 1.2, 1.5, 2.0)
-FULL_RANGE = tuple(range(1, 49))
 
 
 def _actual_interp(ds: Dataset) -> dict[str, dict[int, float]]:
     return {r.name: interpolate_times(r.actual_times) for r in ds.records}
-
-
-def _sparklens_interp(ds: Dataset) -> dict[str, dict[int, float]]:
-    return {
-        r.name: {n: r.sparklens_times[n] for n in FULL_RANGE} for r in ds.records
-    }
 
 
 def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float]]]:
@@ -36,7 +29,7 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
     slowdown, each averaged per fold then over folds (±std over repeats).
     """
     actual = _actual_interp(ds)
-    sl = _sparklens_interp(ds)
+    sl = {r.name: r.sparklens_times for r in ds.records}
     folds = {f: run_cv_cached(ds, family=f) for f in ("AE_PL", "AE_AL")}
     out: dict[str, dict[float, dict[str, float]]] = {}
 
@@ -64,7 +57,7 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
             for fr in folds[family]:
                 sels = {
                     q: limited_slowdown(
-                        {n: m.time(n) for n in FULL_RANGE}, h
+                        {n: m.time(n) for n in CANDIDATES}, h
                     )
                     for q, m in fr.predicted.items()
                 }
@@ -86,7 +79,7 @@ def static_speedups(ds: Dataset, *, family: str = "AE_PL") -> dict[int, float]:
     speedups: dict[int, list[float]] = {2: [], 3: [], 8: []}
     for fr in folds:
         for q, m in fr.predicted.items():
-            n_sel = limited_slowdown({n: m.time(n) for n in FULL_RANGE}, 1.0)
+            n_sel = limited_slowdown({n: m.time(n) for n in CANDIDATES}, 1.0)
             t_sel = actual[q][n_sel]
             for n_static in speedups:
                 speedups[n_static].append(actual[q][n_static] / t_sel)
@@ -101,7 +94,7 @@ def elbow_distribution(ds: Dataset) -> dict[str, Counter]:
     averages over the 10 repeats).
     """
     actual = _actual_interp(ds)
-    sl = _sparklens_interp(ds)
+    sl = {r.name: r.sparklens_times for r in ds.records}
     out: dict[str, Counter] = {
         "Actual": Counter(elbow_point(actual[q]) for q in actual),
         "S": Counter(elbow_point(sl[q]) for q in sl),
@@ -111,7 +104,7 @@ def elbow_distribution(ds: Dataset) -> dict[str, Counter]:
         per_query: dict[str, list[int]] = {}
         for fr in folds:
             for q, m in fr.predicted.items():
-                l = elbow_point({n: m.time(n) for n in FULL_RANGE})
+                l = elbow_point({n: m.time(n) for n in CANDIDATES})
                 per_query.setdefault(q, []).append(l)
         out[family] = Counter(
             int(round(np.mean(v))) for v in per_query.values()

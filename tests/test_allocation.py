@@ -2,30 +2,23 @@
 import pytest
 
 from repro.cluster.allocation import (
-    ClusterView,
     DynamicAllocation,
     PredictiveRule,
     StaticAllocation,
 )
 
 
-def view(time=0.0, pending=0, running=0, live=0, inflight=0, e_c=4):
-    return ClusterView(
-        time=time,
-        pending_tasks=pending,
-        running_tasks=running,
-        live_executors=live,
-        inflight_executors=inflight,
-        cores_per_executor=e_c,
-    )
+def view(time=0.0, pending=0, running=0, live=0, e_c=4):
+    """Arguments of ``target`` for a simulator state."""
+    return time, pending, running, live, e_c
 
 
 class TestStaticAllocation:
     def test_constant_target(self):
         p = StaticAllocation(12)
         assert p.initial_target() == 12
-        assert p.target(view(pending=1000)) == 12
-        assert p.target(view()) == 12
+        assert p.target(*view(pending=1000)) == 12
+        assert p.target(*view()) == 12
 
     def test_no_idle_removal(self):
         assert StaticAllocation(4).remove_idle is False
@@ -43,12 +36,12 @@ class TestDynamicAllocation:
 
     def test_no_growth_before_backlog_timeout(self):
         p = DynamicAllocation(1, 48)
-        assert p.target(view(time=0.0, pending=100)) == 1
-        assert p.target(view(time=0.5, pending=100)) == 1  # < 1s sustained
+        assert p.target(*view(time=0.0, pending=100)) == 1
+        assert p.target(*view(time=0.5, pending=100)) == 1  # < 1s sustained
 
     def test_exponential_growth_under_sustained_backlog(self):
         p = DynamicAllocation(1, 48)
-        targets = [p.target(view(time=float(t), pending=500)) for t in range(10)]
+        targets = [p.target(*view(time=float(t), pending=500)) for t in range(10)]
         # batches 1,2,4,... → strictly growing until cap
         growing = [b - a for a, b in zip(targets, targets[1:]) if b != a]
         assert growing and all(g > 0 for g in growing)
@@ -57,26 +50,26 @@ class TestDynamicAllocation:
     def test_capped_by_max(self):
         p = DynamicAllocation(1, 8)
         for t in range(30):
-            tgt = p.target(view(time=float(t), pending=10_000))
+            tgt = p.target(*view(time=float(t), pending=10_000))
         assert tgt == 8
 
     def test_capped_by_need(self):
-        p = DynamicAllocation(1, 48, overshoot=1.0)
+        p = DynamicAllocation(1, 48)
         for t in range(30):
-            tgt = p.target(view(time=float(t), pending=8, running=0))
-        assert tgt <= 2  # 8 tasks / 4 cores = 2 executors
+            tgt = p.target(*view(time=float(t), pending=4, running=0))
+        assert tgt <= 2  # 2 × 4 tasks / 4 cores = 2 executors
 
     def test_overshoot_inflates_need(self):
-        p = DynamicAllocation(1, 48, overshoot=2.0)
+        p = DynamicAllocation(1, 48)
         for t in range(30):
-            tgt = p.target(view(time=float(t), pending=8, running=0))
+            tgt = p.target(*view(time=float(t), pending=8, running=0))
         assert tgt == 4
 
     def test_reset_when_backlog_clears(self):
         p = DynamicAllocation(1, 48)
         for t in range(6):
-            p.target(view(time=float(t), pending=500))
-        assert p.target(view(time=10.0, pending=0, live=2)) == 2
+            p.target(*view(time=float(t), pending=500))
+        assert p.target(*view(time=10.0, pending=0, live=2)) == 2
         # growth restarts from a batch of 1
         assert p._next_add == 1
 
@@ -89,17 +82,17 @@ class TestDynamicAllocation:
 
 class TestPredictiveRule:
     def test_initial_before_rule_time(self):
-        p = PredictiveRule(n_predicted=30, initial_n=5, rule_time_sec=7.0)
-        assert p.target(view(time=2.0, pending=999)) == 5
+        p = PredictiveRule(n_predicted=30)
+        assert p.target(*view(time=2.0, pending=999)) == 5
 
     def test_predicted_after_rule_time(self):
-        p = PredictiveRule(n_predicted=30, initial_n=5, rule_time_sec=7.0)
-        assert p.target(view(time=7.5)) == 30
+        p = PredictiveRule(n_predicted=30)
+        assert p.target(*view(time=7.5)) == 30
 
     def test_no_reactive_scale_up(self):
         """§4.6: backlog does not raise the target beyond the prediction."""
         p = PredictiveRule(n_predicted=10)
-        assert p.target(view(time=100.0, pending=100_000)) == 10
+        assert p.target(*view(time=100.0, pending=100_000)) == 10
 
     def test_idle_removal_enabled(self):
         assert PredictiveRule(n_predicted=10).remove_idle is True

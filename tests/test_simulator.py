@@ -13,7 +13,7 @@ from repro.cluster.allocation import (
     PredictiveRule,
     StaticAllocation,
 )
-from repro.cluster.simulator import SimParams, core_efficiency, simulate
+from repro.cluster.simulator import core_efficiency, simulate
 from repro.cluster.taskgraph import Stage, TaskGraph, build_task_graph
 from repro.core.features import PlanNode
 from repro.experiments.common import _skeleton_from_json, ground_truth_times, sparklens_times
@@ -129,7 +129,7 @@ class TestPredictiveRule:
 
     def test_starts_small(self):
         g = make_graph(8_000_000)
-        r = simulate(g, PredictiveRule(n_predicted=20, initial_n=5), seed=0)
+        r = simulate(g, PredictiveRule(n_predicted=20), seed=0)
         # before rule time only 5 executors were requested; skyline must
         # pass through a 5-executor plateau before 20
         counts = [n for _, n in r.skyline]
@@ -180,7 +180,7 @@ class TestRandomGraphInvariants:
     @settings(max_examples=150, deadline=None)
     @given(task_graphs(), policies, st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**16))
     def test_run_invariants(self, graph, policy, e_c, seed):
-        r = simulate(graph, policy, params=SimParams(cores_per_executor=e_c), seed=seed)
+        r = simulate(graph, policy, e_c=e_c, seed=seed)
         logs = r.stage_logs
         assert [len(log.task_durations) for log in logs] == [
             s.num_tasks for s in graph.stages
@@ -218,9 +218,7 @@ class TestCoreEfficiency:
         """Same k with different e_c lands near the e_c=4 time (Fig 5)."""
         g = make_graph(8_000_000, query="qk")
         t_ec4 = simulate(g, StaticAllocation(16), seed=0).elapsed
-        t_ec8 = simulate(
-            g, StaticAllocation(8), params=SimParams(cores_per_executor=8), seed=0
-        ).elapsed
+        t_ec8 = simulate(g, StaticAllocation(8), e_c=8, seed=0).elapsed
         assert abs(t_ec8 - t_ec4) / t_ec4 < 0.35
 
 
@@ -260,9 +258,8 @@ def _runs_digest(make_policy, graphs) -> str:
     h = hashlib.sha256()
     seed = 0
     for e_c in (2, 4, 8):
-        params = SimParams(cores_per_executor=e_c)
         for g in graphs:
-            r = simulate(g, make_policy(), params=params, seed=seed)
+            r = simulate(g, make_policy(), e_c=e_c, seed=seed)
             seed += 1
             logs = [(log.start, log.end, log.task_durations) for log in r.stage_logs]
             h.update(repr((r.elapsed, r.auc, r.max_executors, r.skyline, logs)).encode())

@@ -1,7 +1,8 @@
 """Unit tests for the Catalyst-skeleton → task-graph builder."""
 import pytest
 
-from repro.cluster.taskgraph import CostParams, Stage, TaskGraph, build_task_graph
+from repro.cluster import taskgraph
+from repro.cluster.taskgraph import Stage, TaskGraph, build_task_graph
 from repro.core.features import PlanNode
 
 
@@ -66,11 +67,10 @@ class TestBuildTaskGraph:
         assert big.total_work > 5 * small.total_work
 
     def test_task_count_scales_with_size(self):
-        p = CostParams()
-        small = build_task_graph("q", leaf(100_000), params=p)
-        big = build_task_graph("q", leaf(10_000_000), params=p)
+        small = build_task_graph("q", leaf(100_000))
+        big = build_task_graph("q", leaf(10_000_000))
         assert big.stages[0].num_tasks > small.stages[0].num_tasks
-        assert big.stages[0].num_tasks <= p.max_tasks
+        assert big.stages[0].num_tasks <= taskgraph.MAX_TASKS
 
     def test_union_children_feed_consumer_directly(self):
         g = build_task_graph(
@@ -89,26 +89,23 @@ class TestBuildTaskGraph:
         assert piped.stages[0].total_work > plain.stages[0].total_work
 
     def test_min_task_duration_floor(self):
-        p = CostParams()
-        g = build_task_graph("q", leaf(10), params=p)
+        g = build_task_graph("q", leaf(10))
         assert all(
-            d >= p.min_task_sec for s in g.stages for d in s.task_durations
+            d >= taskgraph.MIN_TASK_SEC for s in g.stages for d in s.task_durations
         )
 
     def test_serial_time_components(self, star_skeleton):
-        p = CostParams()
-        g = build_task_graph("q", star_skeleton, params=p)
+        g = build_task_graph("q", star_skeleton)
         assert g.serial_time == pytest.approx(
-            p.app_startup_sec + p.stage_overhead_sec * len(g.stages)
+            taskgraph.APP_STARTUP_SEC + taskgraph.STAGE_OVERHEAD_SEC * len(g.stages)
         )
 
     def test_skew_bounded(self, star_skeleton):
-        p = CostParams()
-        g = build_task_graph("q", star_skeleton, params=p)
+        g = build_task_graph("q", star_skeleton)
         for s in g.stages:
             if s.num_tasks >= 4:
                 mean = s.total_work / s.num_tasks
-                assert s.critical_task <= mean * (1 + p.skew_factor) * 1.2
+                assert s.critical_task <= mean * (1 + taskgraph.SKEW_FACTOR) * 1.2
 
     def test_graph_properties(self, star_skeleton):
         g = build_task_graph("q", star_skeleton)
