@@ -32,11 +32,9 @@ class QueryRecord:
     actual_times: dict[int, float]  # averaged ground truth per n (§5.1)
     sparklens_times: dict[int, float]  # estimates from one run at n=16
 
-    def to_example(self, *, use_sparklens: bool = True) -> TrainingExample:
-        times = self.sparklens_times if use_sparklens else self.actual_times
-        return TrainingExample(
-            query=self.name, features=self.features, times=dict(times)
-        )
+    def to_example(self) -> TrainingExample:
+        """Training targets are the Sparklens estimates (the augmentation)."""
+        return TrainingExample(self.name, self.features, dict(self.sparklens_times))
 
 
 def kfold_indices(

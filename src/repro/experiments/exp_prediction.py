@@ -19,6 +19,9 @@ from repro.core.training import (
 )
 from repro.experiments.common import Dataset, run_cv_cached
 
+#: the held-out query of Fig 8, our analogue of TPC-DS q94
+FIG8_QUERY = "t7_ss_star_2000"
+
 
 def fit_to_sparklens(ds: Dataset) -> dict[str, dict[int, float]]:
     """Fig 4: E(n) of each PPM family *against Sparklens estimates*."""
@@ -40,9 +43,7 @@ def fit_to_sparklens(ds: Dataset) -> dict[str, dict[int, float]]:
     return out
 
 
-def example_curves(
-    ds: Dataset, query: str, *, family_folds=None, ns=N_GRID
-) -> dict[str, dict[int, float]]:
+def example_curves(ds: Dataset, query: str) -> dict[str, dict[int, float]]:
     """Fig 8: Actual, Sparklens, and predicted series for one query.
 
     Predictions come from CV folds where ``query`` was in the *test* set
@@ -50,23 +51,23 @@ def example_curves(
     """
     rec = next(r for r in ds.records if r.name == query)
     series = {
-        "Actual": {n: rec.actual_times[n] for n in ns},
-        "S": {n: rec.sparklens_times[n] for n in ns},
+        "Actual": {n: rec.actual_times[n] for n in N_GRID},
+        "S": {n: rec.sparklens_times[n] for n in N_GRID},
     }
     for family in ("AE_PL", "AE_AL"):
-        folds = (family_folds or {}).get(family) or run_cv_cached(ds, family=family)
+        folds = run_cv_cached(ds, family=family)
         preds = [fr.predicted[query] for fr in folds if query in fr.predicted]
         series[family] = {
-            n: float(np.mean([p.time(n) for p in preds])) for n in ns
+            n: float(np.mean([p.time(n) for p in preds])) for n in N_GRID
         }
     return series
 
 
-def cv_errors(ds: Dataset, *, repeats: int = 10, folds: int = 5) -> dict:
+def cv_errors(ds: Dataset) -> dict:
     """Fig 9: mean±std E(n) per family for train (fit) and test datasets."""
     out: dict = {"S": sparklens_error_by_n(ds.records)}
     for family in ("AE_PL", "AE_AL"):
-        frs = run_cv_cached(ds, family=family, repeats=repeats, folds=folds)
+        frs = run_cv_cached(ds, family=family)
         out[family] = {
             "train": error_by_n(ds.records, frs, on_train=True),
             "test": error_by_n(ds.records, frs, on_train=False),
@@ -75,7 +76,7 @@ def cv_errors(ds: Dataset, *, repeats: int = 10, folds: int = 5) -> dict:
 
 
 def format_report(ds: Dataset) -> str:
-    """Paper-style text table for Figures 4 and 9."""
+    """Paper-style text tables for Figures 4 and 9, then the Fig 8 series."""
     lines = ["== Fig 4: PPM fit error vs Sparklens estimates =="]
     fits = fit_to_sparklens(ds)
     lines.append("n      " + "  ".join(f"{n:>6}" for n in N_GRID))
@@ -97,4 +98,8 @@ def format_report(ds: Dataset) -> str:
                 f"{fam} {split:<10} "
                 + "  ".join(f"{vals[n][0]:6.3f}" for n in N_GRID)
             )
+    lines.append("")
+    lines.append(f"== Fig 8: series for {FIG8_QUERY} (q94 analogue) ==")
+    for series, times in example_curves(ds, FIG8_QUERY).items():
+        lines.append(f"{series:<7} {({n: round(t, 1) for n, t in times.items()})}")
     return "\n".join(lines)

@@ -13,8 +13,9 @@ contract:
 - ``ModelRegistry``: named model store with load-once in-process caching
   ("we cache the models once loaded inside the optimizer", §4.4).
 
-Overheads of save/load/score are benchmarked next to the paper's ONNX
-numbers in ``benchmarks/bench_overheads.py``.
+Overheads of save/load/score are measured next to the paper's ONNX
+numbers by ``repro.experiments.exp_overheads``
+(``python jobs/run_all.py overheads``).
 """
 from __future__ import annotations
 
