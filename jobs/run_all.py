@@ -6,7 +6,8 @@ Usage: spark-submit jobs/run_all.py [section ...]
 With no section every one runs, in the order of :data:`SECTIONS`. Stdout
 is the report; each section's wall time goes to stderr as
 ``section: N.N s``. Datasets load (or, on a cold cache, build) on first
-use, so a section only pays for the scale factors it reads.
+use, so a section only pays for the scale factors it reads, and Spark
+starts only for a section that takes the session or a dataset build.
 """
 from __future__ import annotations
 
@@ -60,16 +61,21 @@ def get_session():
 
 def main(argv: list[str]) -> None:
     names = select(argv)
-    spark = get_session()
     from repro.experiments.common import dataset_for_paper_sf
 
+    spark = None
     datasets = {}
+
+    def session():
+        nonlocal spark
+        spark = spark or get_session()
+        return spark
 
     def arg(a):
         if a == "spark":
-            return spark
+            return session()
         if a not in datasets:
-            datasets[a] = dataset_for_paper_sf(spark, a)
+            datasets[a] = dataset_for_paper_sf(a, session)
         return datasets[a]
 
     for i, name in enumerate(names):
@@ -80,7 +86,8 @@ def main(argv: list[str]) -> None:
             print("=" * 72)
         print(report, flush=True)
         print(f"{name}: {time.perf_counter() - t0:.1f} s", file=sys.stderr, flush=True)
-    spark.stop()
+    if spark is not None:
+        spark.stop()
 
 
 if __name__ == "__main__":

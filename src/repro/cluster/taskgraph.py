@@ -97,10 +97,6 @@ class TaskGraph:
         """Driver-side serial component (Amdahl's fixed part)."""
         return self.app_startup_sec + self.stage_overhead_sec * len(self.stages)
 
-    @property
-    def max_stage_tasks(self) -> int:
-        return max(s.num_tasks for s in self.stages)
-
 
 def _stable_unit_hash(*parts) -> float:
     """Deterministic value in [0, 1) from the given parts (no global RNG)."""

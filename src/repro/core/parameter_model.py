@@ -56,7 +56,10 @@ class ParameterModel:
 
     def fit(self, examples: list[TrainingExample]) -> "ParameterModel":
         X = np.asarray([ex.features for ex in examples], dtype=float)
-        y = fit_ppm_targets(self.family, examples)
+        return self.fit_params(X, fit_ppm_targets(self.family, examples))
+
+    def fit_params(self, X: np.ndarray, y: np.ndarray) -> "ParameterModel":
+        """Train the forest on features ``X`` and PPM parameter rows ``y``."""
         self.forest = RandomForestRegressor(
             n_estimators=self.n_estimators, random_state=self.random_state
         ).fit(X, y)
@@ -72,8 +75,3 @@ class ParameterModel:
     def predict_ppm(self, features) -> ppm_mod.PPM:
         """Predicted PPM instance for a query (scored once, Eq. 1–2)."""
         return ppm_mod.from_params(self.family, self.predict_params(features))
-
-    def predict_times(self, features, ns) -> dict[int, float]:
-        """t(n) for candidate configurations via the predicted PPM."""
-        model = self.predict_ppm(features)
-        return {int(n): float(model.time(int(n))) for n in ns}

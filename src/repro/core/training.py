@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import ppm as ppm_mod
 from repro.core.parameter_model import ParameterModel, TrainingExample
 from repro.core.ppm import PPM, error_metric
 
@@ -81,43 +82,39 @@ def run_cross_validation(
     ``feature_mask`` optionally restricts to a feature subset (for the
     §5.7 ablation). Returns one :class:`FoldResult` per (repeat, fold).
     """
-    from repro.core import ppm as ppm_mod
     from repro.core.features import FEATURE_NAMES
 
     results: list[FoldResult] = []
-    names = [r.name for r in records]
     mask = feature_mask if feature_mask is not None else list(range(len(FEATURE_NAMES)))
     feat_names = tuple(FEATURE_NAMES[i] for i in mask)
+    # one PPM fit per query to its Sparklens times, reused as the forest's
+    # target and as ``fitted_train`` (the "Fit" series of Fig. 9a)
+    fits = {
+        r.name: ppm_mod.fit(
+            family,
+            sorted(r.sparklens_times),
+            [r.sparklens_times[n] for n in sorted(r.sparklens_times)],
+        )
+        for r in records
+    }
     for rep in range(repeats):
         for fi, (train_idx, test_idx) in enumerate(
             kfold_indices(len(records), folds, seed=seed + rep)
         ):
             train = [records[i] for i in train_idx]
             test = [records[i] for i in test_idx]
-            examples = [
-                TrainingExample(
-                    query=r.name,
-                    features=[r.features[i] for i in mask],
-                    times=dict(r.sparklens_times),
-                )
-                for r in train
-            ]
             model = ParameterModel(
                 family=family,
                 random_state=1000 * rep + fi,
                 feature_names=feat_names,
-            ).fit(examples)
+            ).fit_params(
+                np.asarray([[r.features[i] for i in mask] for r in train], dtype=float),
+                np.asarray([fits[r.name].params() for r in train], dtype=float),
+            )
             predicted = {
                 r.name: model.predict_ppm([r.features[i] for i in mask]) for r in test
             }
-            fitted_train = {
-                r.name: ppm_mod.fit(
-                    family,
-                    sorted(r.sparklens_times),
-                    [r.sparklens_times[n] for n in sorted(r.sparklens_times)],
-                )
-                for r in train
-            }
+            fitted_train = {r.name: fits[r.name] for r in train}
             results.append(
                 FoldResult(
                     repeat=rep,

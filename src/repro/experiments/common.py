@@ -1,43 +1,51 @@
-"""Shared experiment infrastructure: dataset building + caching (§5.1).
+"""Shared experiment infrastructure: the per-query dataset (§5.1).
 
-``build_dataset`` reproduces the paper's data-collection procedure for
-one scale factor:
+Only what needs Spark is cached. ``build_dataset`` materializes the
+TPC-DS-lite tables, compiles all 103 queries through Catalyst and walks
+each optimized plan once into a skeleton; ``dataset_sf{sf}.json`` under
+``.cache/repro`` holds those skeletons and :func:`dataset_key`, a sha256
+over every input of the Spark side. A file whose key differs from the
+code's is rebuilt, never served.
 
-1. materialize the TPC-DS-lite tables and compile all 103 queries
-   through Catalyst and walk each optimized plan once into a skeleton,
-   from which the Table-2 features are derived,
+Everything else is a pure function of the skeletons, computed in the
+process on load:
+
+1. the Table-2 features (:func:`repro.core.features.plan_features`),
 2. ground truth: simulate each query at n ∈ {1,3,8,16,32,48} several
    times, discard outliers outside ±1.5×IQR, average (§5.1),
-3. Sparklens: one run at n=16, post-hoc estimates for all n ∈ [1,48].
-
-Everything is cached as JSON under ``.cache/repro`` keyed by scale
-factor and a dataset version (bump :data:`DATASET_VERSION` when the cost
-model changes), so only the first build needs a SparkSession.
+3. Sparklens: one run at n=16, post-hoc estimates for all n ∈ [1,48],
+4. the 10×5-fold CV of each PPM family (:meth:`Dataset.cv`), run once
+   per dataset and shared by the §5.2–§5.4 experiments.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import synth_data
+from repro.core import features
 from repro.core.features import PlanNode, extract_skeleton, plan_features
 from repro.core.selection import CANDIDATES
-from repro.core.training import N_GRID, QueryRecord
+from repro.core.training import N_GRID, FoldResult, QueryRecord, run_cross_validation
 from repro.cluster.allocation import StaticAllocation
 from repro.cluster.simulator import simulate
 from repro.cluster.sparklens import analyze
 from repro.cluster.taskgraph import TaskGraph, build_task_graph
+from repro.workloads import tpcds_lite
 from repro.workloads.tpcds_lite import QUERIES, materialize
 
-DATASET_VERSION = 3
 DEFAULT_CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))), ".cache", "repro")
 
 #: paper SF → our synthetic scale factor (DESIGN.md scale mapping)
 SF_MAP = {10: 0.01, 100: 0.1}
+
+#: the seed the tables are materialized with
+SEED = 0
 
 RUNS_PER_N = 5
 
@@ -99,159 +107,90 @@ class Dataset:
     sf: float
     records: list[QueryRecord]
     skeletons: dict[str, PlanNode]
+    #: family → its 10×5-fold CV, filled by :meth:`cv`
+    folds: dict[str, list[FoldResult]] = field(default_factory=dict, repr=False)
 
     def graph(self, query: str) -> TaskGraph:
         return build_task_graph(query, self.skeletons[query])
 
+    def cv(self, family: str) -> list[FoldResult]:
+        """The 10×5-fold CV of ``family`` (§5.1), run once per dataset."""
+        if family not in self.folds:
+            self.folds[family] = run_cross_validation(self.records, family=family)
+        return self.folds[family]
+
+
+def dataset_from_skeletons(sf: float, skeletons: dict[str, PlanNode]) -> Dataset:
+    """Features, ground truth and Sparklens estimates of every skeleton."""
+    records = []
+    for name, skel in skeletons.items():
+        graph = build_task_graph(name, skel)
+        records.append(
+            QueryRecord(
+                name=name,
+                features=plan_features(skel).as_vector(),
+                actual_times=ground_truth_times(graph),
+                sparklens_times=sparklens_times(graph),
+            )
+        )
+    return Dataset(sf=sf, records=records, skeletons=skeletons)
+
+
+def dataset_key(sf: float) -> str:
+    """sha256 over what the skeletons are computed from: the queries' SQL,
+    the source of the table generators, the schema and the plan walk, and
+    ``sf`` and :data:`SEED`."""
+    h = hashlib.sha256()
+    for q in QUERIES:
+        h.update(f"{q.name}\0{q.sql}\0".encode())
+    for module in (tpcds_lite, synth_data, features):
+        with open(module.__file__, "rb") as f:
+            h.update(f.read())
+    h.update(f"sf={sf!r} seed={SEED}".encode())
+    return h.hexdigest()
+
 
 def _cache_path(sf: float, cache_root: str) -> str:
-    return os.path.join(cache_root, f"dataset_sf{sf}_v{DATASET_VERSION}.json")
+    return os.path.join(cache_root, f"dataset_sf{sf}.json")
 
 
 def load_cached_dataset(sf: float, *, cache_root: str = DEFAULT_CACHE) -> Dataset | None:
+    """The cached dataset for ``sf``, or None if it is missing or its key
+    is not the code's."""
     path = _cache_path(sf, cache_root)
     if not os.path.exists(path):
         return None
     with open(path) as f:
         doc = json.load(f)
-    records = [
-        QueryRecord(
-            name=q["name"],
-            features=q["features"],
-            actual_times={int(k): v for k, v in q["actual"].items()},
-            sparklens_times={int(k): v for k, v in q["sparklens"].items()},
-        )
-        for q in doc["queries"]
-    ]
-    skeletons = {
-        q["name"]: _skeleton_from_json(q["skeleton"]) for q in doc["queries"]
-    }
-    return Dataset(sf=sf, records=records, skeletons=skeletons)
+    if doc.get("key") != dataset_key(sf):
+        return None
+    skeletons = {q["name"]: _skeleton_from_json(q["skeleton"]) for q in doc["queries"]}
+    return dataset_from_skeletons(sf, skeletons)
 
 
-def build_dataset(
-    spark,
-    *,
-    sf: float,
-    cache_root: str = DEFAULT_CACHE,
-    data_root: str | None = None,
-    runs: int = RUNS_PER_N,
-    force: bool = False,
-) -> Dataset:
-    """Build (or load from cache) the full per-query dataset for ``sf``."""
-    if not force:
-        cached = load_cached_dataset(sf, cache_root=cache_root)
-        if cached is not None:
-            return cached
-    data_root = data_root or os.path.join(cache_root, "data")
-    materialize(spark, sf=sf, root=data_root)
-    queries_doc = []
-    records: list[QueryRecord] = []
-    skeletons: dict[str, PlanNode] = {}
-    for q in QUERIES:
-        skel = extract_skeleton(spark.sql(q.sql))
-        feats = plan_features(skel).as_vector()
-        graph = build_task_graph(q.name, skel)
-        actual = ground_truth_times(graph, runs=runs)
-        sl = sparklens_times(graph)
-        records.append(
-            QueryRecord(
-                name=q.name,
-                features=feats,
-                actual_times=actual,
-                sparklens_times=sl,
-            )
-        )
-        skeletons[q.name] = skel
-        queries_doc.append(
-            {
-                "name": q.name,
-                "features": feats,
-                "actual": {str(k): v for k, v in actual.items()},
-                "sparklens": {str(k): v for k, v in sl.items()},
-                "skeleton": _skeleton_to_json(skel),
-            }
-        )
+def build_dataset(spark, *, sf: float, cache_root: str = DEFAULT_CACHE) -> Dataset:
+    """Compile every query at ``sf``, cache the skeletons, derive the rest."""
+    materialize(spark, sf=sf, root=os.path.join(cache_root, "data"), seed=SEED)
+    skeletons = {q.name: extract_skeleton(spark.sql(q.sql)) for q in QUERIES}
     os.makedirs(cache_root, exist_ok=True)
     with open(_cache_path(sf, cache_root), "w") as f:
-        json.dump({"sf": sf, "version": DATASET_VERSION, "queries": queries_doc}, f)
-    return Dataset(sf=sf, records=records, skeletons=skeletons)
-
-
-def dataset_for_paper_sf(spark, paper_sf: int, **kw) -> Dataset:
-    """Dataset for a paper scale factor (10 or 100) via the SF mapping."""
-    return build_dataset(spark, sf=SF_MAP[paper_sf], **kw)
-
-
-# --------------------------------------------------------------------------
-# Cross-validation result caching
-# --------------------------------------------------------------------------
-
-def run_cv_cached(
-    ds: Dataset,
-    *,
-    family: str,
-    repeats: int = 10,
-    folds: int = 5,
-    seed: int = 0,
-    cache_root: str = DEFAULT_CACHE,
-    force: bool = False,
-):
-    """10×5-fold CV with on-disk caching of the per-fold PPM parameters.
-
-    The CV is deterministic in ``seed``; predicted and train-fit PPMs are
-    stored as parameter vectors and reconstructed on load, so downstream
-    experiments (prediction error, selection, elbow) share one CV run.
-    """
-    from repro.core import ppm as ppm_mod
-    from repro.core.training import FoldResult, run_cross_validation
-
-    path = os.path.join(
-        cache_root,
-        f"cv_sf{ds.sf}_{family}_r{repeats}f{folds}s{seed}_v{DATASET_VERSION}.json",
-    )
-    if not force and os.path.exists(path):
-        with open(path) as f:
-            doc = json.load(f)
-        return [
-            FoldResult(
-                repeat=fr["repeat"],
-                fold=fr["fold"],
-                train_queries=list(fr["train"]),
-                test_queries=list(fr["test"]),
-                predicted={
-                    q: ppm_mod.from_params(family, p) for q, p in fr["predicted"].items()
-                },
-                fitted_train={
-                    q: ppm_mod.from_params(family, p) for q, p in fr["fitted"].items()
-                },
-            )
-            for fr in doc["folds"]
-        ]
-    results = run_cross_validation(
-        ds.records, family=family, repeats=repeats, folds=folds, seed=seed
-    )
-    os.makedirs(cache_root, exist_ok=True)
-    with open(path, "w") as f:
         json.dump(
             {
-                "folds": [
-                    {
-                        "repeat": fr.repeat,
-                        "fold": fr.fold,
-                        "train": fr.train_queries,
-                        "test": fr.test_queries,
-                        "predicted": {
-                            q: list(map(float, m.params())) for q, m in fr.predicted.items()
-                        },
-                        "fitted": {
-                            q: list(map(float, m.params()))
-                            for q, m in fr.fitted_train.items()
-                        },
-                    }
-                    for fr in results
-                ]
+                "sf": sf,
+                "key": dataset_key(sf),
+                "queries": [
+                    {"name": name, "skeleton": _skeleton_to_json(skel)}
+                    for name, skel in skeletons.items()
+                ],
             },
             f,
         )
-    return results
+    return dataset_from_skeletons(sf, skeletons)
+
+
+def dataset_for_paper_sf(paper_sf: int, session) -> Dataset:
+    """Dataset for a paper scale factor (10 or 100) via the SF mapping:
+    from the cache when its key matches, else built with ``session()``,
+    so Spark starts only on a miss."""
+    sf = SF_MAP[paper_sf]
+    return load_cached_dataset(sf) or build_dataset(session(), sf=sf)

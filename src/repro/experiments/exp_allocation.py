@@ -26,12 +26,12 @@ from repro.cluster.allocation import (
 )
 from repro.cluster.simulator import RunResult, simulate
 from repro.core.selection import CANDIDATES, limited_slowdown
-from repro.experiments.common import Dataset, run_cv_cached, stable_seed
+from repro.experiments.common import Dataset, stable_seed
 
 
 def rule_predictions(ds: Dataset, *, h: float = 1.05, repeat: int = 0) -> dict[str, int]:
     """query → n̂ from the AE_PL CV folds of one repeat (held-out)."""
-    folds = [fr for fr in run_cv_cached(ds, family="AE_PL") if fr.repeat == repeat]
+    folds = [fr for fr in ds.cv("AE_PL") if fr.repeat == repeat]
     out: dict[str, int] = {}
     for fr in folds:
         for q, model in fr.predicted.items():

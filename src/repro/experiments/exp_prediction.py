@@ -17,7 +17,7 @@ from repro.core.training import (
     error_by_n,
     sparklens_error_by_n,
 )
-from repro.experiments.common import Dataset, run_cv_cached
+from repro.experiments.common import Dataset
 
 #: the held-out query of Fig 8, our analogue of TPC-DS q94
 FIG8_QUERY = "t7_ss_star_2000"
@@ -55,7 +55,7 @@ def example_curves(ds: Dataset, query: str) -> dict[str, dict[int, float]]:
         "S": {n: rec.sparklens_times[n] for n in N_GRID},
     }
     for family in ("AE_PL", "AE_AL"):
-        folds = run_cv_cached(ds, family=family)
+        folds = ds.cv(family)
         preds = [fr.predicted[query] for fr in folds if query in fr.predicted]
         series[family] = {
             n: float(np.mean([p.time(n) for p in preds])) for n in N_GRID
@@ -67,7 +67,7 @@ def cv_errors(ds: Dataset) -> dict:
     """Fig 9: mean±std E(n) per family for train (fit) and test datasets."""
     out: dict = {"S": sparklens_error_by_n(ds.records)}
     for family in ("AE_PL", "AE_AL"):
-        frs = run_cv_cached(ds, family=family)
+        frs = ds.cv(family)
         out[family] = {
             "train": error_by_n(ds.records, frs, on_train=True),
             "test": error_by_n(ds.records, frs, on_train=False),

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core.selection import CANDIDATES, elbow_point, interpolate_times, limited_slowdown
-from repro.experiments.common import Dataset, run_cv_cached
+from repro.experiments.common import Dataset
 
 H_VALUES = (1.0, 1.05, 1.1, 1.2, 1.5, 2.0)
 
@@ -30,7 +30,7 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
     """
     actual = _actual_interp(ds)
     sl = {r.name: r.sparklens_times for r in ds.records}
-    folds = {f: run_cv_cached(ds, family=f) for f in ("AE_PL", "AE_AL")}
+    folds = {f: ds.cv(f) for f in ("AE_PL", "AE_AL")}
     out: dict[str, dict[float, dict[str, float]]] = {}
 
     def realised(q: str, n_sel: int) -> float:
@@ -75,7 +75,7 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
 def static_speedups(ds: Dataset, *, family: str = "AE_PL") -> dict[int, float]:
     """Average speedup of H=1 selections over static n ∈ {2, 3, 8}."""
     actual = _actual_interp(ds)
-    folds = run_cv_cached(ds, family=family)
+    folds = ds.cv(family)
     speedups: dict[int, list[float]] = {2: [], 3: [], 8: []}
     for fr in folds:
         for q, m in fr.predicted.items():
@@ -100,7 +100,7 @@ def elbow_distribution(ds: Dataset) -> dict[str, Counter]:
         "S": Counter(elbow_point(sl[q]) for q in sl),
     }
     for family in ("AE_PL", "AE_AL"):
-        folds = run_cv_cached(ds, family=family)
+        folds = ds.cv(family)
         per_query: dict[str, list[int]] = {}
         for fr in folds:
             for q, m in fr.predicted.items():

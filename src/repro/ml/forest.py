@@ -27,10 +27,6 @@ class RandomForestRegressor:
     roots_: np.ndarray | None = field(default=None, repr=False)
     n_features_: int = 0
 
-    @property
-    def n_outputs_(self) -> int:
-        return self.nodes_.value.shape[1]
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)

@@ -9,8 +9,9 @@ import pytest
 
 from repro.cluster.taskgraph import build_task_graph
 from repro.core.features import FEATURE_NAMES, PlanNode
-from repro.core.training import QueryRecord
+from repro.core.training import QueryRecord, run_cross_validation
 from repro.experiments import (
+    common,
     exp_allocation,
     exp_core_impact,
     exp_ground_truth,
@@ -33,7 +34,7 @@ def _skeleton(i: int) -> PlanNode:
 
 
 @pytest.fixture(scope="module")
-def mini_ds(tmp_path_factory) -> Dataset:
+def mini_ds() -> Dataset:
     records, skeletons = [], {}
     for i in range(15):
         name = f"mq{i}"
@@ -56,38 +57,43 @@ def mini_ds(tmp_path_factory) -> Dataset:
             )
         )
         skeletons[name] = sk
-    # unique sf so the CV cache of the real datasets is never touched
     return Dataset(sf=0.00431, records=records, skeletons=skeletons)
 
 
-@pytest.fixture(scope="module")
-def cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("cv_cache"))
+def _small_cv(records, *, family):
+    return run_cross_validation(records, family=family, repeats=2, folds=3)
 
 
 @pytest.fixture(scope="module")
-def folds(mini_ds, cache):
-    from repro.experiments.common import run_cv_cached
-
-    return {
-        fam: run_cv_cached(
-            mini_ds, family=fam, repeats=2, folds=3, cache_root=cache
-        )
-        for fam in ("AE_PL", "AE_AL")
-    }
+def folds(mini_ds):
+    """A 2×3 CV per family in the dataset's memo, so sections use it."""
+    for fam in ("AE_PL", "AE_AL"):
+        mini_ds.folds[fam] = _small_cv(mini_ds.records, family=fam)
+    return mini_ds.folds
 
 
-class TestCvCache:
-    def test_cache_roundtrip_preserves_predictions(self, mini_ds, cache, folds):
-        from repro.experiments.common import run_cv_cached
+class TestSharedCv:
+    def test_cv_sections_share_one_cv_per_family(self, mini_ds, monkeypatch):
+        """Prediction, selection and allocation read the same FoldResult
+        objects, from one CV run per family."""
+        runs = []
 
-        again = run_cv_cached(
-            mini_ds, family="AE_PL", repeats=2, folds=3, cache_root=cache
-        )
-        q = again[0].test_queries[0]
-        assert again[0].predicted[q].time(8) == pytest.approx(
-            folds["AE_PL"][0].predicted[q].time(8)
-        )
+        def spy(records, *, family):
+            runs.append((family, _small_cv(records, family=family)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(common, "run_cross_validation", spy)
+        ds = Dataset(sf=mini_ds.sf, records=mini_ds.records, skeletons=mini_ds.skeletons)
+        exp_prediction.cv_errors(ds)
+        exp_prediction.example_curves(ds, "mq5")
+        exp_selection.limited_slowdown_table(ds)
+        exp_selection.static_speedups(ds)
+        exp_selection.elbow_distribution(ds)
+        exp_allocation.rule_predictions(ds)
+        assert [fam for fam, _ in runs] == ["AE_PL", "AE_AL"]
+        for fam, folds in runs:
+            assert ds.cv(fam) is folds
+        assert len(runs) == 2
 
 
 class TestPredictionExperiment:
@@ -108,55 +114,35 @@ class TestPredictionExperiment:
 
 
 class TestSelectionExperiment:
-    def test_table_structure(self, mini_ds, cache, folds, monkeypatch):
-        self._patch_cache(monkeypatch, cache, folds)
+    def test_table_structure(self, mini_ds, folds):
         table = exp_selection.limited_slowdown_table(mini_ds)
         assert set(table) == {"Actual", "S", "AE_PL", "AE_AL"}
         for series in table.values():
             assert set(series) == set(exp_selection.H_VALUES)
 
-    def test_actual_h1_slowdown_is_1(self, mini_ds, cache, folds, monkeypatch):
-        self._patch_cache(monkeypatch, cache, folds)
+    def test_actual_h1_slowdown_is_1(self, mini_ds, folds):
         table = exp_selection.limited_slowdown_table(mini_ds)
         assert table["Actual"][1.0]["slowdown_mean"] == pytest.approx(1.0)
 
-    def test_ae_al_selects_48_at_h1(self, mini_ds, cache, folds, monkeypatch):
-        self._patch_cache(monkeypatch, cache, folds)
+    def test_ae_al_selects_48_at_h1(self, mini_ds, folds):
         table = exp_selection.limited_slowdown_table(mini_ds)
         assert table["AE_AL"][1.0]["n_mean"] == pytest.approx(48.0)
 
-    def test_larger_h_smaller_n(self, mini_ds, cache, folds, monkeypatch):
-        self._patch_cache(monkeypatch, cache, folds)
+    def test_larger_h_smaller_n(self, mini_ds, folds):
         table = exp_selection.limited_slowdown_table(mini_ds)
         for series in ("Actual", "AE_PL", "AE_AL"):
             ns = [table[series][h]["n_mean"] for h in exp_selection.H_VALUES]
             assert ns == sorted(ns, reverse=True)
 
-    def test_elbow_ae_al_always_7(self, mini_ds, cache, folds, monkeypatch):
-        self._patch_cache(monkeypatch, cache, folds)
+    def test_elbow_ae_al_always_7(self, mini_ds, folds):
         dist = exp_selection.elbow_distribution(mini_ds)
         assert set(dist["AE_AL"]) == {7}
-
-    @staticmethod
-    def _patch_cache(monkeypatch, cache, folds):
-        import repro.experiments.common as common
-        import repro.experiments.exp_selection as sel
-
-        def fake_run(ds, *, family, **kw):
-            return folds[family]
-
-        monkeypatch.setattr(sel, "run_cv_cached", fake_run)
 
 
 class TestAllocationExperiment:
     @pytest.fixture(scope="class")
-    def comps(self, mini_ds, folds, monkeypatch_class):
-        import repro.experiments.exp_allocation as alloc
-
-        monkeypatch_class.setattr(
-            alloc, "run_cv_cached", lambda ds, *, family, **kw: folds[family]
-        )
-        return alloc.compare_policies(mini_ds)
+    def comps(self, mini_ds, folds):
+        return exp_allocation.compare_policies(mini_ds)
 
     def test_all_queries_compared(self, comps, mini_ds):
         assert len(comps) == len(mini_ds.records)
@@ -173,19 +159,10 @@ class TestAllocationExperiment:
         s = exp_allocation.summarize(comps)
         assert s["slowdown_vs_sa48_pct"] >= 0
 
-    def test_skyline_example(self, mini_ds, folds, monkeypatch_class):
+    def test_skyline_example(self, mini_ds):
         out = exp_allocation.skyline_example(mini_ds, "mq5", n_pred=10)
         assert set(out) == {"DA(1,48)", "SA(48)", "SA(10)", "Rule(10)"}
         assert out["SA(48)"]["auc"] > out["Rule(10)"]["auc"]
-
-
-@pytest.fixture(scope="class")
-def monkeypatch_class():
-    from _pytest.monkeypatch import MonkeyPatch
-
-    mp = MonkeyPatch()
-    yield mp
-    mp.undo()
 
 
 class TestCoreImpactExperiment:

@@ -1,5 +1,4 @@
 """Tests for the Table-2 featurizer over real Catalyst plans and skeletons."""
-import glob
 import json
 import os
 
@@ -14,7 +13,7 @@ from repro.core.features import (
     featurize_plan,
     plan_features,
 )
-from repro.experiments.common import DEFAULT_CACHE, _skeleton_from_json
+from repro.experiments.common import _skeleton_from_json
 from repro.workloads.tpcds_lite import query_by_name
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -156,13 +155,10 @@ class TestPlanFeatures:
         assert vocab <= v["num_operators"]
 
     def test_stored_features_match_skeletons(self):
-        """Every cached dataset's features derive exactly from its skeletons."""
-        cached = glob.glob(os.path.join(DEFAULT_CACHE, "dataset_sf*.json"))
-        assert cached, f"no dataset_sf*.json under {DEFAULT_CACHE}"
-        paths = cached + [os.path.join(REPO, "perfbench", "data", "dataset_sf0.1.json")]
-        for path in paths:
-            with open(path) as f:
-                doc = json.load(f)
-            for q in doc["queries"]:
-                derived = plan_features(_skeleton_from_json(q["skeleton"])).as_vector()
-                assert derived == q["features"], (path, q["name"])
+        """The snapshot's stored features derive exactly from its skeletons."""
+        path = os.path.join(REPO, "perfbench", "data", "dataset_sf0.1.json")
+        with open(path) as f:
+            doc = json.load(f)
+        for q in doc["queries"]:
+            derived = plan_features(_skeleton_from_json(q["skeleton"])).as_vector()
+            assert derived == q["features"], q["name"]

@@ -33,7 +33,6 @@ class TestRandomForest:
         y = np.stack([X[:, 0], X[:, 1], X.sum(axis=1)], axis=1)
         f = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
         assert f.predict(X).shape == (40, 3)
-        assert f.n_outputs_ == 3
 
     def test_default_is_100_estimators(self):
         assert RandomForestRegressor().n_estimators == 100  # sklearn default (§5.6)

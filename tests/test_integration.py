@@ -22,7 +22,7 @@ from tests.conftest import TEST_SF
 @pytest.fixture(scope="module")
 def dataset(spark, tpcds_tables, tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("ds_cache"))
-    ds = build_dataset(spark, sf=TEST_SF, cache_root=cache, runs=2)
+    ds = build_dataset(spark, sf=TEST_SF, cache_root=cache)
     return ds, cache
 
 

@@ -1,11 +1,11 @@
 """Paper-shape checks on the committed sf=0.1 dataset snapshot.
 
-The snapshot (``perfbench/data/dataset_sf0.1.json``) holds the features,
-ground truth, Sparklens estimates and plan skeletons of all 103 queries
-in the dataset-cache format, so these run without Spark or a CV cache.
+The snapshot (``perfbench/data/dataset_sf0.1.json``) holds the plan
+skeletons of all 103 queries; the dataset is derived from them, so these
+run without Spark.
 """
+import json
 import os
-import shutil
 
 import pytest
 
@@ -24,10 +24,12 @@ SNAPSHOT = os.path.join(
 
 
 @pytest.fixture(scope="module")
-def ds(tmp_path_factory) -> common.Dataset:
-    root = str(tmp_path_factory.mktemp("snapshot"))
-    shutil.copy(SNAPSHOT, common._cache_path(0.1, root))
-    ds = common.load_cached_dataset(0.1, cache_root=root)
+def ds() -> common.Dataset:
+    with open(SNAPSHOT) as f:
+        queries = json.load(f)["queries"]
+    ds = common.dataset_from_skeletons(
+        0.1, {q["name"]: common._skeleton_from_json(q["skeleton"]) for q in queries}
+    )
     assert len(ds.records) == 103
     return ds
 

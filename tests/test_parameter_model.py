@@ -84,16 +84,6 @@ class TestParameterModel:
         assert isinstance(ppm, PowerLawPPM)
         assert ppm.time(1) >= ppm.time(48)
 
-    def test_predict_times_consistent_with_ppm(self):
-        recs = synth_records(12)
-        m = ParameterModel(family="AE_AL", n_estimators=5).fit(
-            [r.to_example() for r in recs]
-        )
-        ppm = m.predict_ppm(recs[0].features)
-        times = m.predict_times(recs[0].features, NS)
-        for n in NS:
-            assert times[n] == pytest.approx(ppm.time(n))
-
     def test_learns_feature_dependence(self):
         """Predictions for a heavy query exceed those for a light one."""
         recs = synth_records(40)

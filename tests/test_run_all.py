@@ -1,12 +1,15 @@
 """The section table of ``jobs/run_all.py``, checked without Spark."""
 import importlib
 import inspect
+import json
 import pkgutil
 
 import pytest
 
 import repro.experiments
 from jobs import run_all
+from repro.core.training import run_cross_validation
+from repro.experiments import common
 from repro.experiments.common import SF_MAP
 
 
@@ -39,3 +42,25 @@ def test_unknown_section_rejected_with_the_valid_ones():
     msg = str(e.value)
     assert "fig99" in msg
     assert all(name in msg for name in run_all.SECTIONS)
+
+
+def test_warm_section_starts_no_spark(monkeypatch, capsys):
+    """On the committed dataset cache, a section that needs no session
+    runs without starting Spark (the CV is cut to 2×3 for speed)."""
+    with open(common._cache_path(0.1, common.DEFAULT_CACHE)) as f:
+        key = json.load(f)["key"]
+    assert key == common.dataset_key(0.1), "the committed sf=0.1 dataset is stale; rebuild it"
+
+    def no_spark():
+        raise AssertionError("get_session called on a warm cache")
+
+    monkeypatch.setattr(run_all, "get_session", no_spark)
+    monkeypatch.setattr(
+        common,
+        "run_cross_validation",
+        lambda records, *, family: run_cross_validation(records, family=family, repeats=2, folds=3),
+    )
+    run_all.main(["prediction"])
+    out, err = capsys.readouterr()
+    assert "== Fig 9: E(n) from 10-repeated 5-fold CV ==" in out
+    assert err.startswith("prediction: ")

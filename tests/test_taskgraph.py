@@ -111,7 +111,6 @@ class TestBuildTaskGraph:
         g = build_task_graph("q", star_skeleton)
         assert isinstance(g, TaskGraph)
         assert g.total_work > 0
-        assert g.max_stage_tasks >= 1
 
 
 def test_stage_without_tasks_rejected():
