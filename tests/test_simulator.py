@@ -254,15 +254,18 @@ PINNED_RUNS_SHA256 = {
 }
 
 
+def _run_bytes(r) -> bytes:
+    logs = [(log.start, log.end, log.task_durations) for log in r.stage_logs]
+    return repr((r.elapsed, r.auc, r.max_executors, r.skyline, logs)).encode()
+
+
 def _runs_digest(make_policy, graphs) -> str:
     h = hashlib.sha256()
     seed = 0
     for e_c in (2, 4, 8):
         for g in graphs:
-            r = simulate(g, make_policy(), e_c=e_c, seed=seed)
+            h.update(_run_bytes(simulate(g, make_policy(), e_c=e_c, seed=seed)))
             seed += 1
-            logs = [(log.start, log.end, log.task_durations) for log in r.stage_logs]
-            h.update(repr((r.elapsed, r.auc, r.max_executors, r.skyline, logs)).encode())
     return h.hexdigest()
 
 
@@ -271,6 +274,50 @@ def test_pinned_runs(policy, snapshot_slice):
     """Simulated runs on the snapshot slice are bit-identical to the recorded ones."""
     graphs = [g for _, g in snapshot_slice]
     assert _runs_digest(_PINNED_POLICIES[policy], graphs) == PINNED_RUNS_SHA256[policy]
+
+
+def _random_cases(n=200):
+    """Seeded random graphs and policies that reach the scheduler's rare orders.
+
+    Every 4th graph has no stage overhead (a child becomes runnable at the
+    instant its last parent task ends) and every 8th starts at t=0 (stages,
+    arrivals and the first tick tie). Long tasks and single-task stages
+    leave executors idle past the idle timeout, so DA(1, m) with small
+    ``m`` and Rule(n < 5) remove executors and request them again.
+    """
+    rng = np.random.default_rng(12)
+    cases = []
+    for i in range(n):
+        stages = []
+        for sid in range(int(rng.integers(1, 9))):
+            k = int(rng.integers(0, min(sid, 3) + 1))
+            parents = tuple(sorted(rng.choice(sid, size=k, replace=False).tolist())) if k else ()
+            n_tasks = 1 if rng.random() < 0.3 else int(rng.integers(1, 41))
+            longest = 150.0 if rng.random() < 0.3 else 30.0
+            stages.append(Stage(sid, parents, tuple(rng.uniform(0.1, longest, n_tasks).tolist())))
+        graph = TaskGraph(
+            query=f"r{i}",
+            stages=stages,
+            stage_overhead_sec=0.0 if i % 4 == 0 else float(rng.uniform(0.0, 3.0)),
+            app_startup_sec=0.0 if i % 8 == 0 else float(rng.uniform(0.0, 25.0)),
+        )
+        n = int(rng.integers(1, 5)) if i % 2 else int(rng.integers(1, 49))
+        policy = (StaticAllocation, lambda m: DynamicAllocation(1, m), PredictiveRule)[i % 3](n)
+        cases.append((graph, policy, (1, 1, 2, 4, 8)[i % 5], i))
+    return cases
+
+
+#: sha256 over the same fields as :data:`PINNED_RUNS_SHA256` for every run
+#: of :func:`_random_cases`
+PINNED_RANDOM_SHA256 = "69d0d82a25d831bd80a169ebfd8c48d85a2f77d27aa01e60e456d01a1b5e2638"
+
+
+def test_pinned_random_runs():
+    """Runs that tie events in time and remove and re-add executors are bit-identical."""
+    h = hashlib.sha256()
+    for graph, policy, e_c, seed in _random_cases():
+        h.update(_run_bytes(simulate(graph, policy, e_c=e_c, seed=seed)))
+    assert h.hexdigest() == PINNED_RANDOM_SHA256
 
 
 def test_snapshot_ground_truth_and_sparklens_exact(snapshot_slice):
