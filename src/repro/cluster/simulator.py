@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import math
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,7 @@ class RunResult:
     skyline: list[tuple[float, int]]  # (time, live executor count) steps
     stage_logs: list[StageLog]
     e_c: int
-    events: int  # events taken off the event queue
+    events: int  # events popped: task ends, stage starts, arrivals, ticks, idle checks
     peak_pending: int  # most tasks ever queued for a free slot
 
 
@@ -91,44 +90,9 @@ def core_efficiency(query: str, e_c: int) -> float:
     return base * (0.86 + 0.27 * h)
 
 
-@dataclass
-class _Executor:
-    busy: int = 0
-    idle_since: float = 0.0
-
-
-class _Pool:
-    """Live executors + skyline/AUC accounting."""
-
-    def __init__(self) -> None:
-        self.executors: dict[int, _Executor] = {}
-        self.skyline: list[tuple[float, int]] = [(0.0, 0)]
-        self.auc = 0.0
-        self._last_t = 0.0
-        self._next_id = 0
-
-    def _account(self, t: float) -> None:
-        self.auc += len(self.executors) * (t - self._last_t)
-        self._last_t = t
-
-    def add(self, t: float) -> int:
-        self._account(t)
-        eid = self._next_id
-        self._next_id += 1
-        self.executors[eid] = _Executor(idle_since=t)
-        self.skyline.append((t, len(self.executors)))
-        return eid
-
-    def remove(self, t: float, eid: int) -> None:
-        self._account(t)
-        del self.executors[eid]
-        self.skyline.append((t, len(self.executors)))
-
-    def finish(self, t: float) -> None:
-        self._account(t)
-        if self.executors:
-            self.skyline.append((t, 0))
-            self.executors.clear()
+# event kinds; events are flat (time, seq, kind, executor id, stage id)
+# tuples, ordered by time and then by the order they were scheduled
+_END, _STAGE, _ARRIVE, _IDLE, _TICK = range(5)
 
 
 def simulate(
@@ -140,10 +104,17 @@ def simulate(
 ) -> RunResult:
     """Run one application under ``policy`` on executors of ``e_c`` cores.
 
-    No event rescans the stage queues or the pool: the queued-task count
-    is a counter, dispatch visits only the executors with a free slot,
-    and between other events the policy is woken only at the times its
-    ``next_tick`` returns.
+    One flat loop pops events in time order. After each event it asks the
+    policy for its target once, requests the missing executors, and hands
+    queued tasks to the executors with a free slot, in the order they
+    joined. Runnable tasks wait in one FIFO, stage after stage in the order
+    the stages became runnable. Executors are indices into ``busy`` and
+    ``idle_since``; a removed one has ``idle_since = inf``. Between other
+    events the policy is woken only at the times its ``next_tick`` returns.
+
+    An executor that falls idle gets an idle check one timeout later only
+    if ``policy.remove_idle``: for a policy that never removes executors
+    the check would change nothing and only call ``target`` once more.
     """
     rng = np.random.default_rng(seed)
     app_factor = math.exp(APP_NOISE_SIGMA * rng.standard_normal())
@@ -159,153 +130,145 @@ def simulate(
     # one draw for every task yields the same stream as one draw per task;
     # math.exp, unlike np.exp, keeps each duration's last bit
     z = iter(rng.standard_normal(sum(s.num_tasks for s in graph.stages)).tolist())
-    noisy: list[list[float]] = [
+    noisy = [
         [
             d * app_factor * eff * math.exp(TASK_NOISE_SIGMA * zi)
             for d, zi in zip(s.task_durations, z)
         ]
         for s in graph.stages
     ]
-    pending: list[deque[float]] = [deque() for _ in range(n_stages)]  # runnable queues
-    n_pending = 0  # tasks in all runnable queues
-    peak_pending = 0
+    tasks = [[(d, sid) for d in durations] for sid, durations in enumerate(noisy)]
     tasks_left = [len(d) for d in noisy]
     stage_start = [math.inf] * n_stages
     stage_end = [0.0] * n_stages
-    ready_order: deque[int] = deque()  # FIFO of stages with runnable tasks
+    overhead = graph.stage_overhead_sec * app_factor  # serial driver work before a stage's first task
+    queue: list[tuple[float, int]] = []  # runnable (duration, stage) in FIFO order
+    head = 0  # queue[head:] is still waiting for a slot
+    n_pending = peak_pending = 0
 
-    # --- event queue -------------------------------------------------------
-    # events: (time, seq, kind, payload)
-    evq: list[tuple[float, int, str, object]] = []
-    seq = itertools.count()
-
-    def push(t: float, kind: str, payload: object = None) -> None:
-        heapq.heappush(evq, (t, next(seq), kind, payload))
-
-    pool = _Pool()
-    free: set[int] = set()  # ids of live executors with a free slot
-    inflight = 0  # requested executors not yet arrived
-    next_arrival_at = 0.0
-    running = 0  # running task count
-    finished_stages = 0
-
-    def schedule_arrivals(now: float, count: int, instant: bool) -> None:
-        nonlocal inflight, next_arrival_at
-        for _ in range(count):
-            if instant:
-                t_arr = now
-            else:
-                base = max(now + GRANT_DELAY_SEC, next_arrival_at)
-                t_arr = base + ARRIVAL_SPACING_SEC * (
-                    1.0 + ARRIVAL_JITTER_SIGMA * float(rng.random())
-                )
-                next_arrival_at = t_arr
-            inflight += 1
-            push(t_arr, "arrive")
-
-    def make_ready(sid: int, now: float) -> None:
-        # stage's serial driver overhead precedes its first task
-        push(now + graph.stage_overhead_sec * app_factor, "stage_runnable", sid)
-
-    def apply_policy(now: float) -> None:
-        live = len(pool.executors)
-        tgt = policy.target(now, n_pending, running, live, e_c)
-        have = live + inflight
-        if tgt > have:
-            schedule_arrivals(now, tgt - have, instant=False)
-
-    def dispatch(now: float) -> None:
-        """Assign runnable tasks to free executor slots (FIFO by stage)."""
-        nonlocal running, n_pending
-        if not ready_order or not free:
-            return
-        # memory pressure / spill: heavily overcommitted pools run each
-        # task slower — the superlinear low-n cost Sparklens's linear
-        # replay cannot see (it drives Fig 9's E(1) shape). A task's backlog
-        # is the tasks still queued after its pop plus those running before
-        # it starts; every pop is followed by a start, so the backlog is the
-        # same for each task this call places.
-        total_slots = max(1, len(pool.executors) * e_c)
-        over = (n_pending - 1 + running) / total_slots
-        slowdown = 1.0 + OVERCOMMIT_COEFF * math.log2(over) if over > 1.0 else 1.0
-        for eid in sorted(free):  # ids only grow: the order executors joined
-            ex = pool.executors[eid]
-            while ex.busy < e_c and ready_order:
-                sid = ready_order[0]
-                queue = pending[sid]
-                dur = queue.popleft() * slowdown
-                n_pending -= 1
-                ex.busy += 1
-                running += 1
-                stage_start[sid] = min(stage_start[sid], now)
-                push(now + dur, "task_end", (eid, sid))
-                if not queue:
-                    ready_order.popleft()
-            if ex.busy == e_c:
-                free.remove(eid)
-            if not ready_order:
-                break
+    # --- executors and the skyline -----------------------------------------
+    busy: list[int] = []  # running tasks per executor id; ids only grow
+    idle_since: list[float] = []
+    free: list[int] = []  # ids of live executors with a free slot, ascending: the order they joined
+    live = inflight = running = finished = 0  # inflight: requested, not yet arrived
+    next_arrival_at = last = auc = 0.0
+    skyline: list[tuple[float, int]] = [(0.0, 0)]
 
     # --- kick off ----------------------------------------------------------
-    init = policy.initial_target()
-    schedule_arrivals(0.0, init, instant=policy.instant_initial)
+    evq: list[tuple[float, int, int, int, int]] = []
+    heappush, heappop, log2, random = heapq.heappush, heapq.heappop, math.log2, rng.random
+    target, next_tick, remove_idle = policy.target, policy.next_tick, policy.remove_idle
+    seq = 0
+    for _ in range(policy.initial_target()):
+        if not policy.instant_initial:  # else all arrive at t=0
+            base = max(GRANT_DELAY_SEC, next_arrival_at)
+            next_arrival_at = base + ARRIVAL_SPACING_SEC * (1.0 + ARRIVAL_JITTER_SIGMA * random())
+        heappush(evq, (next_arrival_at, seq, _ARRIVE, 0, 0))
+        seq += 1
+    inflight = seq
     startup = graph.app_startup_sec * app_factor
     for s in graph.stages:
         if not s.parents:
-            push(startup, "stage_runnable", s.stage_id)
-    push(0.0, "policy_tick")
+            heappush(evq, (startup, seq, _STAGE, 0, s.stage_id))
+            seq += 1
+    heappush(evq, (0.0, seq, _TICK, 0, 0))
+    seq += 1
 
     now = 0.0
-    events = 0
-    while evq and finished_stages < n_stages:
-        now, _, kind, payload = heapq.heappop(evq)
-        events += 1
-        if kind == "task_end":
-            eid, sid = payload
+    while evq and finished < n_stages:
+        now, _, kind, eid, sid = heappop(evq)
+        if kind == _END:
             running -= 1
+            if busy[eid] == e_c:  # busy executors are never removed
+                insort(free, eid)
+            busy[eid] -= 1
+            if not busy[eid]:
+                idle_since[eid] = now
+                if remove_idle:
+                    heappush(evq, (now + IDLE_TIMEOUT_SEC, seq, _IDLE, eid, 0))
+                    seq += 1
             tasks_left[sid] -= 1
-            ex = pool.executors[eid]  # busy executors are never removed
-            ex.busy -= 1
-            free.add(eid)
-            if ex.busy == 0:
-                ex.idle_since = now
-                push(now + IDLE_TIMEOUT_SEC, "idle_check", eid)
-            if tasks_left[sid] == 0:  # events pop in time order: this is the last end
+            if not tasks_left[sid]:  # events pop in time order: this is the last end
                 stage_end[sid] = now
-                finished_stages += 1
+                finished += 1
                 for child in children[sid]:
                     missing_parents[child] -= 1
-                    if missing_parents[child] == 0:
-                        make_ready(child, now)
-        elif kind == "arrive":
-            inflight -= 1
-            eid = pool.add(now)
-            free.add(eid)
-            push(now + IDLE_TIMEOUT_SEC, "idle_check", eid)
-        elif kind == "stage_runnable":
-            pending[payload].extend(noisy[payload])
-            n_pending += len(noisy[payload])
+                    if not missing_parents[child]:
+                        heappush(evq, (now + overhead, seq, _STAGE, 0, child))
+                        seq += 1
+        elif kind == _STAGE:
+            queue += tasks[sid]
+            n_pending += len(tasks[sid])
             peak_pending = max(peak_pending, n_pending)
-            ready_order.append(payload)
-        elif kind == "idle_check":
-            eid = payload
-            ex = pool.executors.get(eid)
-            if (
-                policy.remove_idle
-                and ex is not None
-                and ex.busy == 0
-                and ex.idle_since + IDLE_TIMEOUT_SEC <= now  # not a stale check
-                and now - ex.idle_since >= IDLE_TIMEOUT_SEC - 1e-9
-            ):
-                pool.remove(now, eid)
-                free.remove(eid)
-        apply_policy(now)
-        dispatch(now)
-        if kind == "policy_tick" and (tick := policy.next_tick(now)) is not None:
-            push(tick, "policy_tick")
+        elif kind == _ARRIVE:
+            inflight -= 1
+            auc += live * (now - last)
+            last = now
+            live += 1
+            skyline.append((now, live))
+            eid = len(busy)
+            busy.append(0)
+            idle_since.append(now)
+            free.append(eid)
+            if remove_idle:
+                heappush(evq, (now + IDLE_TIMEOUT_SEC, seq, _IDLE, eid, 0))
+                seq += 1
+        elif (
+            kind == _IDLE
+            and not busy[eid]
+            and idle_since[eid] + IDLE_TIMEOUT_SEC <= now  # not a stale check
+            and now - idle_since[eid] >= IDLE_TIMEOUT_SEC - 1e-9
+        ):
+            auc += live * (now - last)
+            last = now
+            live -= 1
+            skyline.append((now, live))
+            idle_since[eid] = math.inf
+            free.remove(eid)
+
+        # the policy's target, then the missing executors, staggered
+        tgt = target(now, n_pending, running, live, e_c)
+        if tgt > live + inflight:
+            for _ in range(tgt - live - inflight):
+                base = max(now + GRANT_DELAY_SEC, next_arrival_at)
+                next_arrival_at = base + ARRIVAL_SPACING_SEC * (1.0 + ARRIVAL_JITTER_SIGMA * random())
+                heappush(evq, (next_arrival_at, seq, _ARRIVE, 0, 0))
+                seq += 1
+            inflight = tgt - live
+
+        if n_pending and free:
+            # memory pressure / spill: heavily overcommitted pools run each
+            # task slower — the superlinear low-n cost Sparklens's linear
+            # replay cannot see (it drives Fig 9's E(1) shape). A task's
+            # backlog is the tasks still queued after it plus those running
+            # before it starts, the same for every task placed now.
+            over = (n_pending - 1 + running) / (live * e_c)  # free: live >= 1
+            slowdown = 1.0 + OVERCOMMIT_COEFF * log2(over) if over > 1.0 else 1.0
+            while n_pending and free:
+                eid = free[0]
+                take = e_c - busy[eid]
+                if take > n_pending:
+                    take = n_pending
+                for d, sid in queue[head : head + take]:
+                    heappush(evq, (now + d * slowdown, seq, _END, eid, sid))
+                    seq += 1
+                    if stage_start[sid] > now:
+                        stage_start[sid] = now
+                head += take
+                n_pending -= take
+                running += take
+                busy[eid] += take
+                if busy[eid] == e_c:
+                    del free[0]
+
+        if kind == _TICK and (tick := next_tick(now)) is not None:
+            heappush(evq, (tick, seq, _TICK, 0, 0))
+            seq += 1
 
     elapsed = now + 1.0 * app_factor  # app teardown
-    pool.finish(elapsed)
+    auc += live * (elapsed - last)
+    if live:
+        skyline.append((elapsed, 0))
     logs = [
         StageLog(
             stage_id=s.stage_id,
@@ -319,11 +282,11 @@ def simulate(
         query=graph.query,
         policy=policy.name,
         elapsed=elapsed,
-        auc=pool.auc,
-        max_executors=max(n for _, n in pool.skyline),
-        skyline=pool.skyline,
+        auc=auc,
+        max_executors=max(n for _, n in skyline),
+        skyline=skyline,
         stage_logs=logs,
         e_c=e_c,
-        events=events,
+        events=seq - len(evq),  # each push took one seq
         peak_pending=peak_pending,
     )

@@ -150,6 +150,13 @@ class TestRunCounters:
         da = simulate(graph, DynamicAllocation(1, 48), seed=0)
         assert sa.events < da.events
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 48])
+    def test_sa_pops_one_event_per_task_stage_arrival_and_first_tick(self, graph, n):
+        """SA(n) never removes an executor, so it schedules no idle check."""
+        r = simulate(graph, StaticAllocation(n), seed=0)
+        tasks = sum(s.num_tasks for s in graph.stages)
+        assert r.events == tasks + len(graph.stages) + n + 1
+
 
 @st.composite
 def task_graphs(draw):
@@ -226,10 +233,16 @@ SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dataset
 
 
 @pytest.fixture(scope="module")
-def snapshot_slice():
-    """Every 10th query of the sf=0.1 snapshot with its task graph."""
-    queries = json.loads(SNAPSHOT.read_text())["queries"][::10]
+def snapshot():
+    """Every query of the sf=0.1 snapshot with its task graph."""
+    queries = json.loads(SNAPSHOT.read_text())["queries"]
     return [(q, build_task_graph(q["name"], _skeleton_from_json(q["skeleton"]))) for q in queries]
+
+
+@pytest.fixture(scope="module")
+def snapshot_slice(snapshot):
+    """Every 10th query of the snapshot."""
+    return snapshot[::10]
 
 
 _PINNED_POLICIES = {
@@ -320,8 +333,9 @@ def test_pinned_random_runs():
     assert h.hexdigest() == PINNED_RANDOM_SHA256
 
 
-def test_snapshot_ground_truth_and_sparklens_exact(snapshot_slice):
+def test_snapshot_ground_truth_and_sparklens_exact(snapshot):
     """Ground truth and Sparklens estimates reproduce the snapshot exactly."""
-    for q, g in snapshot_slice:
+    assert len(snapshot) == 103
+    for q, g in snapshot:
         assert ground_truth_times(g) == {int(n): t for n, t in q["actual"].items()}, q["name"]
         assert sparklens_times(g) == {int(n): t for n, t in q["sparklens"].items()}, q["name"]
