@@ -107,17 +107,23 @@ class Dataset:
     sf: float
     records: list[QueryRecord]
     skeletons: dict[str, PlanNode]
-    #: family → its 10×5-fold CV, filled by :meth:`cv`
-    folds: dict[str, list[FoldResult]] = field(default_factory=dict, repr=False)
+    #: (family, repeats, folds) → that CV on all features, filled by :meth:`cv`
+    folds: dict[tuple[str, int, int], list[FoldResult]] = field(default_factory=dict, repr=False)
 
     def graph(self, query: str) -> TaskGraph:
         return build_task_graph(query, self.skeletons[query])
 
-    def cv(self, family: str) -> list[FoldResult]:
-        """The 10×5-fold CV of ``family`` (§5.1), run once per dataset."""
-        if family not in self.folds:
-            self.folds[family] = run_cross_validation(self.records, family=family)
-        return self.folds[family]
+    def cv(
+        self, family: str, *, repeats: int = 10, folds: int = 5, keep_models: bool = False
+    ) -> list[FoldResult]:
+        """The ``repeats``×``folds`` CV of ``family`` on all features (§5.1
+        runs 10×5), run once per dataset, or once more to keep its models."""
+        key = (family, repeats, folds)
+        if key not in self.folds or keep_models and self.folds[key][0].model is None:
+            self.folds[key] = run_cross_validation(
+                self.records, family=family, repeats=repeats, folds=folds, keep_models=keep_models
+            )
+        return self.folds[key]
 
 
 def dataset_from_skeletons(sf: float, skeletons: dict[str, PlanNode]) -> Dataset:

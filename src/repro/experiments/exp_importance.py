@@ -55,13 +55,7 @@ def importance_scores(
     """
     totals = np.zeros(len(FEATURE_NAMES))
     for family in ("AE_PL", "AE_AL"):
-        frs = run_cross_validation(
-            ds.records,
-            family=family,
-            repeats=repeats,
-            folds=folds,
-            keep_models=True,
-        )
+        frs = ds.cv(family, repeats=repeats, folds=folds, keep_models=True)
         acc = np.zeros(len(FEATURE_NAMES))
         by_name = {r.name: r for r in ds.records}
         for k, fr in enumerate(frs):
@@ -86,18 +80,21 @@ def top_features(scores: dict[str, float], k: int = 10) -> list[tuple[str, float
 def ablation(
     ds: Dataset, *, repeats: int = 3, folds: int = 5
 ) -> dict[str, dict[str, dict[int, float]]]:
-    """E(n) per feature set per family (§5.7's F0–F3 study)."""
+    """E(n) per feature set per family (§5.7's F0–F3 study).
+
+    F0 is the dataset's all-feature CV, the one :func:`importance_scores`
+    reads models from.
+    """
     out: dict[str, dict[str, dict[int, float]]] = {}
     for family in ("AE_PL", "AE_AL"):
         out[family] = {}
         for fs_name, mask in FEATURE_SETS.items():
-            frs = run_cross_validation(
-                ds.records,
-                family=family,
-                repeats=repeats,
-                folds=folds,
-                feature_mask=mask,
-            )
+            if fs_name == "F0":
+                frs = ds.cv(family, repeats=repeats, folds=folds)
+            else:
+                frs = run_cross_validation(
+                    ds.records, family=family, repeats=repeats, folds=folds, feature_mask=mask
+                )
             errs = error_by_n(ds.records, frs)
             out[family][fs_name] = {n: mu for n, (mu, _) in errs.items()}
     return out

@@ -68,7 +68,7 @@ def _small_cv(records, *, family):
 def folds(mini_ds):
     """A 2×3 CV per family in the dataset's memo, so sections use it."""
     for fam in ("AE_PL", "AE_AL"):
-        mini_ds.folds[fam] = _small_cv(mini_ds.records, family=fam)
+        mini_ds.folds[(fam, 10, 5)] = _small_cv(mini_ds.records, family=fam)
     return mini_ds.folds
 
 
@@ -78,7 +78,8 @@ class TestSharedCv:
         objects, from one CV run per family."""
         runs = []
 
-        def spy(records, *, family):
+        def spy(records, *, family, repeats, folds, keep_models):
+            assert (repeats, folds, keep_models) == (10, 5, False)
             runs.append((family, _small_cv(records, family=family)))
             return runs[-1][1]
 
