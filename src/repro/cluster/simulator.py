@@ -141,7 +141,8 @@ def simulate(
     tasks_left = [len(d) for d in noisy]
     stage_start = [math.inf] * n_stages
     stage_end = [0.0] * n_stages
-    overhead = graph.stage_overhead_sec * app_factor  # serial driver work before a stage's first task
+    # serial driver work between a stage's parents ending and its tasks queuing
+    overhead = graph.stage_overhead_sec * app_factor
     queue: list[tuple[float, int]] = []  # runnable (duration, stage) in FIFO order
     head = 0  # queue[head:] is still waiting for a slot
     n_pending = peak_pending = 0
@@ -162,10 +163,11 @@ def simulate(
     for _ in range(policy.initial_target()):
         if not policy.instant_initial:  # else all arrive at t=0
             base = max(GRANT_DELAY_SEC, next_arrival_at)
-            next_arrival_at = base + ARRIVAL_SPACING_SEC * (1.0 + ARRIVAL_JITTER_SIGMA * random())
+            jitter = 1.0 + ARRIVAL_JITTER_SIGMA * random()
+            next_arrival_at = base + ARRIVAL_SPACING_SEC * jitter
         heappush(evq, (next_arrival_at, seq, _ARRIVE, 0, 0))
         seq += 1
-    inflight = seq
+    inflight = seq  # one push per requested executor
     startup = graph.app_startup_sec * app_factor
     for s in graph.stages:
         if not s.parents:
@@ -231,7 +233,8 @@ def simulate(
         if tgt > live + inflight:
             for _ in range(tgt - live - inflight):
                 base = max(now + GRANT_DELAY_SEC, next_arrival_at)
-                next_arrival_at = base + ARRIVAL_SPACING_SEC * (1.0 + ARRIVAL_JITTER_SIGMA * random())
+                jitter = 1.0 + ARRIVAL_JITTER_SIGMA * random()
+                next_arrival_at = base + ARRIVAL_SPACING_SEC * jitter
                 heappush(evq, (next_arrival_at, seq, _ARRIVE, 0, 0))
                 seq += 1
             inflight = tgt - live

@@ -58,7 +58,9 @@ def test_warm_section_starts_no_spark(monkeypatch, capsys):
     monkeypatch.setattr(
         common,
         "run_cross_validation",
-        lambda records, *, family, **_: run_cross_validation(records, family=family, repeats=2, folds=3),
+        lambda records, *, family, **_: run_cross_validation(
+            records, family=family, repeats=2, folds=3
+        ),
     )
     run_all.main(["prediction"])
     out, err = capsys.readouterr()
