@@ -75,6 +75,8 @@ class StaticAllocation(AllocationPolicy):
     instant_initial = True
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"SA({self.n}) can never finish a query")
         self.name = f"SA({self.n})"
 
     def initial_target(self) -> int:
@@ -103,6 +105,8 @@ class DynamicAllocation(AllocationPolicy):
     instant_initial = False
 
     def __post_init__(self) -> None:
+        if self.max_n < 1 or not 0 <= self.min_n <= self.max_n:
+            raise ValueError(f"DA({self.min_n},{self.max_n}) needs 0 <= min_n <= max_n, max_n >= 1")
         self.name = f"DA({self.min_n},{self.max_n})"
         self._target = self.min_n
         self._backlog_since: float | None = None
@@ -149,6 +153,8 @@ class PredictiveRule(AllocationPolicy):
     instant_initial = False
 
     def __post_init__(self) -> None:
+        if self.n_predicted < 1:
+            raise ValueError(f"Rule({self.n_predicted}) can never finish a query")
         self.name = f"Rule({self.n_predicted})"
 
     def initial_target(self) -> int:

@@ -21,8 +21,9 @@ from pyspark.sql import DataFrame
 
 from repro.core import ppm as ppm_mod
 from repro.core.features import FEATURE_NAMES, featurize_plan
-from repro.core.parameter_model import ParameterModel, TrainingExample
+from repro.core.parameter_model import TrainingExample, fit_ppm_targets
 from repro.core.selection import CANDIDATES, elbow_point, factorize_cores, limited_slowdown
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.portable import ModelRegistry, PortableModel
 
 
@@ -51,12 +52,14 @@ def train_and_register(
 
     Returns the serialized model size in bytes (cf. §5.6's ~1 MB ONNX).
     """
-    model = ParameterModel(family=family, random_state=random_state).fit(examples)
+    forest = RandomForestRegressor(random_state=random_state).fit(
+        [ex.features for ex in examples], fit_ppm_targets(family, examples)
+    )
     return registry.register(
         name,
-        model.forest,
-        feature_names=list(model.feature_names),
-        target_names=list(model.target_names),
+        forest,
+        feature_names=list(FEATURE_NAMES),
+        target_names=list(ppm_mod.MODEL_FAMILIES[family][1].param_names),
     )
 
 

@@ -23,6 +23,13 @@ import numpy as np
 #: executor counts a selection chooses from: the paper's pool of 1–48
 CANDIDATES = tuple(range(1, 49))
 
+#: §3.3's node: cores and memory, and the memory of one executor
+NODE_CORES = 8
+NODE_MEMORY_GB = 64.0
+EXECUTOR_MEMORY_GB = 28.0
+#: executor sizes (cores) a factorization chooses from
+CANDIDATE_EC = (1, 2, 4, 6, 8)
+
 
 def interpolate_times(times: dict[int, float], lo: int = 1, hi: int = 48) -> dict[int, float]:
     """Piecewise-linear interpolation of a sparse n→t map onto [lo, hi]."""
@@ -70,19 +77,12 @@ def elbow_point(times: dict[int, float]) -> int:
     return ns[-1] if slopes[-1] >= 1.0 else ns[1]
 
 
-def factorize_cores(
-    k: int,
-    *,
-    node_cores: int = 8,
-    node_memory_gb: float = 64.0,
-    executor_memory_gb: float = 28.0,
-    candidate_ec: tuple[int, ...] = (1, 2, 4, 6, 8),
-) -> tuple[int, int] | None:
+def factorize_cores(k: int) -> tuple[int, int] | None:
     """Split total cores ``k`` into ``(n, e_c)`` per §3.3.
 
-    minimise   node_cores mod e_c           (stranded cores per node)
-    subject to executor_memory × ⌊node_cores / e_c⌋ ≤ node_memory
-    and        e_c × ⌊node_cores / e_c⌋ divides the packing so that
+    minimise   NODE_CORES mod e_c           (stranded cores per node)
+    subject to EXECUTOR_MEMORY_GB × ⌊NODE_CORES / e_c⌋ ≤ NODE_MEMORY_GB
+    and        e_c × ⌊NODE_CORES / e_c⌋ divides the packing so that
                n = k / e_c is integral.
 
     Ties prefer smaller ``e_c`` (finer price-performance granularity).
@@ -90,13 +90,13 @@ def factorize_cores(
     """
     best: tuple[int, int] | None = None
     best_key: tuple[int, int] | None = None
-    for e_c in candidate_ec:
-        per_node = node_cores // e_c
+    for e_c in CANDIDATE_EC:
+        per_node = NODE_CORES // e_c
         if per_node == 0 or k % e_c != 0:
             continue
-        if executor_memory_gb * per_node > node_memory_gb:
+        if EXECUTOR_MEMORY_GB * per_node > NODE_MEMORY_GB:
             continue
-        stranded = node_cores % e_c
+        stranded = NODE_CORES % e_c
         key = (stranded, e_c)
         if best_key is None or key < best_key:
             best_key = key

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import ppm as ppm_mod
-from repro.core.parameter_model import ParameterModel, TrainingExample
+from repro.core.parameter_model import TrainingExample
 from repro.core.ppm import PPM, error_metric
+from repro.ml.forest import RandomForestRegressor
 
 #: the executor-count grid of §5.1
 N_GRID: tuple[int, ...] = (1, 3, 8, 16, 32, 48)
@@ -63,7 +64,7 @@ class FoldResult:
     test_queries: list[str]
     predicted: dict[str, PPM]  # test query -> predicted PPM
     fitted_train: dict[str, PPM]  # train query -> PPM fit on its own times
-    model: ParameterModel = field(repr=False, default=None)
+    model: RandomForestRegressor | None = field(repr=False, default=None)
 
 
 def run_cross_validation(
@@ -74,19 +75,21 @@ def run_cross_validation(
     folds: int = 5,
     seed: int = 0,
     feature_mask: list[int] | None = None,
-    keep_models: bool = False,
 ) -> list[FoldResult]:
     """10-repeated 5-fold CV exactly as §5.1.
 
     Training examples use Sparklens-estimated times (the augmentation);
     ``feature_mask`` optionally restricts to a feature subset (for the
-    §5.7 ablation). Returns one :class:`FoldResult` per (repeat, fold).
+    §5.7 ablation). Returns one :class:`FoldResult` per (repeat, fold),
+    with the fold's fitted forest. Repeat ``r`` splits with seed
+    ``seed + r``, so the first ``r`` repeats of a longer run are exactly
+    an ``r``-repeat run.
     """
     from repro.core.features import FEATURE_NAMES
 
     results: list[FoldResult] = []
     mask = feature_mask if feature_mask is not None else list(range(len(FEATURE_NAMES)))
-    feat_names = tuple(FEATURE_NAMES[i] for i in mask)
+    X = np.asarray([[r.features[i] for i in mask] for r in records], dtype=float)
     # one PPM fit per query to its Sparklens times, reused as the forest's
     # target and as ``fitted_train`` (the "Fit" series of Fig. 9a)
     fits = {
@@ -103,16 +106,13 @@ def run_cross_validation(
         ):
             train = [records[i] for i in train_idx]
             test = [records[i] for i in test_idx]
-            model = ParameterModel(
-                family=family,
-                random_state=1000 * rep + fi,
-                feature_names=feat_names,
-            ).fit_params(
-                np.asarray([[r.features[i] for i in mask] for r in train], dtype=float),
-                np.asarray([fits[r.name].params() for r in train], dtype=float),
+            forest = RandomForestRegressor(random_state=1000 * rep + fi).fit(
+                X[train_idx], np.asarray([fits[r.name].params() for r in train], dtype=float)
             )
+            # one batch scores every test query; a row's prediction is its own
+            params = forest.predict(X[test_idx])
             predicted = {
-                r.name: model.predict_ppm([r.features[i] for i in mask]) for r in test
+                r.name: ppm_mod.from_params(family, p) for r, p in zip(test, params)
             }
             fitted_train = {r.name: fits[r.name] for r in train}
             results.append(
@@ -123,7 +123,7 @@ def run_cross_validation(
                     test_queries=[r.name for r in test],
                     predicted=predicted,
                     fitted_train=fitted_train,
-                    model=model if keep_models else None,
+                    model=forest,
                 )
             )
     return results

@@ -15,7 +15,7 @@ process on load:
    times, discard outliers outside ±1.5×IQR, average (§5.1),
 3. Sparklens: one run at n=16, post-hoc estimates for all n ∈ [1,48],
 4. the 10×5-fold CV of each PPM family (:meth:`Dataset.cv`), run once
-   per dataset and shared by the §5.2–§5.4 experiments.
+   per dataset and shared by the §5.2–§5.4 and §5.7 experiments.
 """
 from __future__ import annotations
 
@@ -43,9 +43,6 @@ DEFAULT_CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
 
 #: paper SF → our synthetic scale factor (DESIGN.md scale mapping)
 SF_MAP = {10: 0.01, 100: 0.1}
-
-#: the seed the tables are materialized with
-SEED = 0
 
 RUNS_PER_N = 5
 
@@ -107,23 +104,18 @@ class Dataset:
     sf: float
     records: list[QueryRecord]
     skeletons: dict[str, PlanNode]
-    #: (family, repeats, folds) → that CV on all features, filled by :meth:`cv`
-    folds: dict[tuple[str, int, int], list[FoldResult]] = field(default_factory=dict, repr=False)
+    #: family → its 10×5 CV on all features, filled by :meth:`cv`
+    folds: dict[str, list[FoldResult]] = field(default_factory=dict, repr=False)
 
     def graph(self, query: str) -> TaskGraph:
         return build_task_graph(query, self.skeletons[query])
 
-    def cv(
-        self, family: str, *, repeats: int = 10, folds: int = 5, keep_models: bool = False
-    ) -> list[FoldResult]:
-        """The ``repeats``×``folds`` CV of ``family`` on all features (§5.1
-        runs 10×5), run once per dataset, or once more to keep its models."""
-        key = (family, repeats, folds)
-        if key not in self.folds or keep_models and self.folds[key][0].model is None:
-            self.folds[key] = run_cross_validation(
-                self.records, family=family, repeats=repeats, folds=folds, keep_models=keep_models
-            )
-        return self.folds[key]
+    def cv(self, family: str) -> list[FoldResult]:
+        """The 10×5 CV of ``family`` on all features (§5.1), with its
+        forests, run once per dataset."""
+        if family not in self.folds:
+            self.folds[family] = run_cross_validation(self.records, family=family)
+        return self.folds[family]
 
 
 def dataset_from_skeletons(sf: float, skeletons: dict[str, PlanNode]) -> Dataset:
@@ -145,14 +137,14 @@ def dataset_from_skeletons(sf: float, skeletons: dict[str, PlanNode]) -> Dataset
 def dataset_key(sf: float) -> str:
     """sha256 over what the skeletons are computed from: the queries' SQL,
     the source of the table generators, the schema and the plan walk, and
-    ``sf`` and :data:`SEED`."""
+    ``sf``."""
     h = hashlib.sha256()
     for q in QUERIES:
         h.update(f"{q.name}\0{q.sql}\0".encode())
     for module in (tpcds_lite, synth_data, features):
         with open(module.__file__, "rb") as f:
             h.update(f.read())
-    h.update(f"sf={sf!r} seed={SEED}".encode())
+    h.update(f"sf={sf!r}".encode())
     return h.hexdigest()
 
 
@@ -176,7 +168,7 @@ def load_cached_dataset(sf: float, *, cache_root: str = DEFAULT_CACHE) -> Datase
 
 def build_dataset(spark, *, sf: float, cache_root: str = DEFAULT_CACHE) -> Dataset:
     """Compile every query at ``sf``, cache the skeletons, derive the rest."""
-    materialize(spark, sf=sf, root=os.path.join(cache_root, "data"), seed=SEED)
+    materialize(spark, sf=sf, root=os.path.join(cache_root, "data"))
     skeletons = {q.name: extract_skeleton(spark.sql(q.sql)) for q in QUERIES}
     os.makedirs(cache_root, exist_ok=True)
     with open(_cache_path(sf, cache_root), "w") as f:

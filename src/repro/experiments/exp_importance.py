@@ -7,10 +7,13 @@
   F0 = all features, F1 = top-6, F2 = top-2 (input-size features),
   F3 = F1 − F2 (the four plan features).
 
-Cost deviation from the paper: the paper permutes 100× over all 50 CV
-folds (5000 scores/feature); to keep the job within minutes with the
-single-process numpy forest, this repo uses 20 permutations over the
-folds of 3 repeats by default — the ranking is stable well before that.
+Both read the first 3 repeats of the shared 10×5 CV (:meth:`Dataset.cv`):
+the importances permute features on its forests, and F0 is its E(n);
+F1–F3 run 3×5 CVs on their own features. Cost deviation from the paper:
+the paper permutes 100× over all 50 CV folds (5000 scores/feature); to
+keep the job within minutes with the single-process numpy forest, this
+repo uses 20 permutations over the first 3 repeats of the shared 10×5 CV
+— the ranking is stable well before that.
 """
 from __future__ import annotations
 
@@ -18,9 +21,14 @@ import numpy as np
 
 from repro.core.features import FEATURE_NAMES
 from repro.core.parameter_model import fit_ppm_targets
-from repro.core.training import error_by_n, run_cross_validation
+from repro.core.training import FoldResult, error_by_n, run_cross_validation
 from repro.experiments.common import Dataset
 from repro.ml.permutation_importance import permutation_importance
+
+#: §5.7 uses the first this many repeats of each CV (the paper: all 10)
+CV_REPEATS = 3
+#: permutations of each feature per fold (the paper: 100)
+N_PERMUTATIONS = 20
 
 #: Fig 15's top features, expressed in this repo's feature names
 TOP6 = ("input_bytes", "rows_processed", "max_depth", "num_operators", "num_project", "num_filter")
@@ -39,13 +47,12 @@ FEATURE_SETS = {
 }
 
 
-def importance_scores(
-    ds: Dataset,
-    *,
-    repeats: int = 3,
-    folds: int = 5,
-    n_repeats: int = 20,
-) -> dict[str, float]:
+def _shared_folds(ds: Dataset, family: str) -> list[FoldResult]:
+    """The first :data:`CV_REPEATS` repeats of the dataset's 10×5 CV."""
+    return [fr for fr in ds.cv(family) if fr.repeat < CV_REPEATS]
+
+
+def importance_scores(ds: Dataset) -> dict[str, float]:
     """feature → summed (AE_PL + AE_AL) mean permutation importance.
 
     Scores use the held-out fold queries: X = their features, y = the
@@ -55,7 +62,7 @@ def importance_scores(
     """
     totals = np.zeros(len(FEATURE_NAMES))
     for family in ("AE_PL", "AE_AL"):
-        frs = ds.cv(family, repeats=repeats, folds=folds, keep_models=True)
+        frs = _shared_folds(ds, family)
         acc = np.zeros(len(FEATURE_NAMES))
         by_name = {r.name: r for r in ds.records}
         for k, fr in enumerate(frs):
@@ -63,7 +70,7 @@ def importance_scores(
             X = np.asarray([r.features for r in test], dtype=float)
             y = fit_ppm_targets(family, [r.to_example() for r in test])
             res = permutation_importance(
-                fr.model.forest, X, y, n_repeats=n_repeats, random_state=k
+                fr.model, X, y, n_repeats=N_PERMUTATIONS, random_state=k
             )
             acc += res["importances_mean"]
         acc /= len(frs)
@@ -77,23 +84,21 @@ def top_features(scores: dict[str, float], k: int = 10) -> list[tuple[str, float
     return sorted(scores.items(), key=lambda kv: -kv[1])[:k]
 
 
-def ablation(
-    ds: Dataset, *, repeats: int = 3, folds: int = 5
-) -> dict[str, dict[str, dict[int, float]]]:
+def ablation(ds: Dataset) -> dict[str, dict[str, dict[int, float]]]:
     """E(n) per feature set per family (§5.7's F0–F3 study).
 
-    F0 is the dataset's all-feature CV, the one :func:`importance_scores`
-    reads models from.
+    F0 reads the folds :func:`importance_scores` reads; F1–F3 run a
+    :data:`CV_REPEATS`×5 CV on their features.
     """
     out: dict[str, dict[str, dict[int, float]]] = {}
     for family in ("AE_PL", "AE_AL"):
         out[family] = {}
         for fs_name, mask in FEATURE_SETS.items():
             if fs_name == "F0":
-                frs = ds.cv(family, repeats=repeats, folds=folds)
+                frs = _shared_folds(ds, family)
             else:
                 frs = run_cross_validation(
-                    ds.records, family=family, repeats=repeats, folds=folds, feature_mask=mask
+                    ds.records, family=family, repeats=CV_REPEATS, feature_mask=mask
                 )
             errs = error_by_n(ds.records, frs)
             out[family][fs_name] = {n: mu for n, (mu, _) in errs.items()}

@@ -22,9 +22,10 @@ import time
 from dataclasses import dataclass
 
 from repro.core import ppm as ppm_mod
-from repro.core.features import featurize_plan
-from repro.core.parameter_model import ParameterModel
+from repro.core.features import FEATURE_NAMES, featurize_plan
+from repro.core.parameter_model import fit_ppm_targets
 from repro.experiments.common import Dataset
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.portable import ModelRegistry
 from repro.workloads.tpcds_lite import QUERIES, materialize
 
@@ -53,23 +54,25 @@ def measure(ds: Dataset) -> Overheads:
     train = []  # one cold fit swings up to 2x with the host's load
     for _ in range(5):
         t0 = time.perf_counter()
-        model = ParameterModel(family="AE_PL", random_state=0).fit(examples)
+        forest = RandomForestRegressor(random_state=0).fit(
+            [ex.features for ex in examples], fit_ppm_targets("AE_PL", examples)
+        )
         train.append((time.perf_counter() - t0) * 1e3)
     train_ms = statistics.median(train)
 
     feats = records[0].features
-    model.predict_ppm(feats)  # warm
+    ppm_mod.from_params("AE_PL", forest.predict([feats])[0])  # warm
     t0 = time.perf_counter()
     for _ in range(20):
-        model.predict_ppm(feats)
+        ppm_mod.from_params("AE_PL", forest.predict([feats])[0])
     score_ms = (time.perf_counter() - t0) / 20 * 1e3
 
     with tempfile.TemporaryDirectory() as tmp:
         size = ModelRegistry(tmp).register(
             "m",
-            model.forest,
-            feature_names=list(model.feature_names),
-            target_names=list(model.target_names),
+            forest,
+            feature_names=list(FEATURE_NAMES),
+            target_names=list(ppm_mod.PowerLawPPM.param_names),
         )
         loads = []  # each from a fresh registry, so every get is cold
         for _ in range(5):

@@ -8,10 +8,12 @@ about the change (the paper's S_10 vs S_100 comparison).
 """
 from __future__ import annotations
 
-from repro.core.parameter_model import ParameterModel
+from repro.core import ppm as ppm_mod
+from repro.core.parameter_model import fit_ppm_targets
 from repro.core.ppm import error_metric
 from repro.core.training import N_GRID
 from repro.experiments.common import Dataset
+from repro.ml.forest import RandomForestRegressor
 
 
 def cross_sf_errors(train_ds: Dataset, test_ds: Dataset) -> dict[str, dict[int, float]]:
@@ -23,10 +25,14 @@ def cross_sf_errors(train_ds: Dataset, test_ds: Dataset) -> dict[str, dict[int, 
         n: {r.name: r.actual_times[n] for r in test_ds.records} for n in N_GRID
     }
     for family in ("AE_PL", "AE_AL"):
-        model = ParameterModel(family=family, random_state=0).fit(
-            [r.to_example() for r in train_ds.records]
+        forest = RandomForestRegressor(random_state=0).fit(
+            [r.features for r in train_ds.records],
+            fit_ppm_targets(family, [r.to_example() for r in train_ds.records]),
         )
-        preds = {r.name: model.predict_ppm(r.features) for r in test_ds.records}
+        params = forest.predict([r.features for r in test_ds.records])
+        preds = {
+            r.name: ppm_mod.from_params(family, p) for r, p in zip(test_ds.records, params)
+        }
         out[family] = {
             n: error_metric(actual[n], {q: m.time(n) for q, m in preds.items()})
             for n in N_GRID

@@ -47,9 +47,7 @@ _CATEGORIES = ["Books", "Electronics", "Home", "Sports", "Women"]
 _STATES = ["CA", "TX", "NY", "WA", "FL"]
 
 
-def materialize(
-    spark: SparkSession, *, sf: float, root: str, seed: int = 0
-) -> dict[str, DataFrame]:
+def materialize(spark: SparkSession, *, sf: float, root: str) -> dict[str, DataFrame]:
     """Generate (once), persist to parquet, and register temp views.
 
     Reading back from parquet gives Catalyst leaf relations with real

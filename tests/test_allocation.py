@@ -29,6 +29,11 @@ class TestStaticAllocation:
     def test_name(self):
         assert StaticAllocation(25).name == "SA(25)"
 
+    def test_no_executor_rejected(self):
+        # SA(0) would queue every task forever and return an unfinished run
+        with pytest.raises(ValueError):
+            StaticAllocation(0)
+
 
 class TestDynamicAllocation:
     def test_starts_at_min(self):
@@ -79,6 +84,15 @@ class TestDynamicAllocation:
     def test_name(self):
         assert DynamicAllocation(1, 48).name == "DA(1,48)"
 
+    @pytest.mark.parametrize("min_n, max_n", [(0, 0), (-1, 4), (5, 4)])
+    def test_bounds_that_never_finish_rejected(self, min_n, max_n):
+        # DA(0, 0) never gets an executor, and its ticks keep the run alive
+        with pytest.raises(ValueError):
+            DynamicAllocation(min_n, max_n)
+
+    def test_scale_up_from_zero_allowed(self):
+        assert DynamicAllocation(0, 4).initial_target() == 0
+
 
 class TestPredictiveRule:
     def test_initial_before_rule_time(self):
@@ -99,3 +113,7 @@ class TestPredictiveRule:
 
     def test_name(self):
         assert PredictiveRule(n_predicted=25).name == "Rule(25)"
+
+    def test_no_executor_rejected(self):
+        with pytest.raises(ValueError):
+            PredictiveRule(n_predicted=0)

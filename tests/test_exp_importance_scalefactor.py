@@ -62,9 +62,7 @@ class TestImportance:
         """Fig 15: input bytes / rows processed rank on top (by design of
         the mini workload, where they are the only informative features)."""
         ds, _ = mini_pair
-        scores = exp_importance.importance_scores(
-            ds, repeats=1, folds=3, n_repeats=5
-        )
+        scores = exp_importance.importance_scores(ds)
         top_name, _ = exp_importance.top_features(scores, 1)[0]
         assert top_name in {"input_bytes", "rows_processed"}
         # the two collinear size features carry essentially all the signal
@@ -73,7 +71,7 @@ class TestImportance:
 
     def test_ablation_structure(self, mini_pair):
         ds, _ = mini_pair
-        ab = exp_importance.ablation(ds, repeats=1, folds=3)
+        ab = exp_importance.ablation(ds)
         assert set(ab) == {"AE_PL", "AE_AL"}
         for fam in ab.values():
             assert set(fam) == {"F0", "F1", "F2", "F3"}
@@ -84,7 +82,7 @@ class TestImportance:
         """Dropping the informative features (F3 keeps only plan shape)
         must hurt on a workload driven purely by input size."""
         ds, _ = mini_pair
-        ab = exp_importance.ablation(ds, repeats=1, folds=3)
+        ab = exp_importance.ablation(ds)
         assert ab["AE_PL"]["F3"][8] >= ab["AE_PL"]["F2"][8] * 0.8
 
 

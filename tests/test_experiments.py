@@ -9,12 +9,13 @@ import pytest
 
 from repro.cluster.taskgraph import build_task_graph
 from repro.core.features import FEATURE_NAMES, PlanNode
-from repro.core.training import QueryRecord, run_cross_validation
+from repro.core.training import QueryRecord, error_by_n, run_cross_validation
 from repro.experiments import (
     common,
     exp_allocation,
     exp_core_impact,
     exp_ground_truth,
+    exp_importance,
     exp_overheads,
     exp_prediction,
     exp_selection,
@@ -68,22 +69,29 @@ def _small_cv(records, *, family):
 def folds(mini_ds):
     """A 2×3 CV per family in the dataset's memo, so sections use it."""
     for fam in ("AE_PL", "AE_AL"):
-        mini_ds.folds[(fam, 10, 5)] = _small_cv(mini_ds.records, family=fam)
+        mini_ds.folds[fam] = _small_cv(mini_ds.records, family=fam)
     return mini_ds.folds
 
 
 class TestSharedCv:
     def test_cv_sections_share_one_cv_per_family(self, mini_ds, monkeypatch):
-        """Prediction, selection and allocation read the same FoldResult
-        objects, from one CV run per family."""
-        runs = []
+        """Prediction, selection, allocation and §5.7 read the same
+        FoldResult objects, from one unmasked CV run per family."""
+        runs, masked = [], []
 
-        def spy(records, *, family, repeats, folds, keep_models):
-            assert (repeats, folds, keep_models) == (10, 5, False)
+        def spy(records, *, family):
             runs.append((family, _small_cv(records, family=family)))
             return runs[-1][1]
 
+        def masked_spy(records, *, family, repeats, feature_mask):
+            assert repeats == exp_importance.CV_REPEATS
+            masked.append(feature_mask)
+            return run_cross_validation(
+                records, family=family, repeats=1, folds=3, feature_mask=feature_mask
+            )
+
         monkeypatch.setattr(common, "run_cross_validation", spy)
+        monkeypatch.setattr(exp_importance, "run_cross_validation", masked_spy)
         ds = Dataset(sf=mini_ds.sf, records=mini_ds.records, skeletons=mini_ds.skeletons)
         exp_prediction.cv_errors(ds)
         exp_prediction.example_curves(ds, "mq5")
@@ -91,10 +99,16 @@ class TestSharedCv:
         exp_selection.static_speedups(ds)
         exp_selection.elbow_distribution(ds)
         exp_allocation.rule_predictions(ds)
+        exp_importance.importance_scores(ds)
+        ab = exp_importance.ablation(ds)
         assert [fam for fam, _ in runs] == ["AE_PL", "AE_AL"]
         for fam, folds in runs:
             assert ds.cv(fam) is folds
+            assert ab[fam]["F0"] == {n: mu for n, (mu, _) in error_by_n(ds.records, folds).items()}
         assert len(runs) == 2
+        # F1–F3 of both families; F0 is the shared CV's
+        sets = exp_importance.FEATURE_SETS
+        assert masked == [sets[f] for f in ("F1", "F2", "F3")] * 2
 
 
 class TestPredictionExperiment:

@@ -11,10 +11,13 @@ import pytest
 
 from repro.cluster.allocation import DynamicAllocation, PredictiveRule, StaticAllocation
 from repro.cluster.simulator import simulate
-from repro.core.parameter_model import ParameterModel
+from repro.core.features import FEATURE_NAMES
+from repro.core.parameter_model import fit_ppm_targets
+from repro.core.ppm import PowerLawPPM, from_params
 from repro.core.selection import elbow_point, interpolate_times, limited_slowdown
 from repro.core.training import sparklens_error_by_n
 from repro.experiments import common, exp_core_impact
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.portable import save_model
 
 SNAPSHOT = os.path.join(
@@ -77,17 +80,17 @@ def test_sparklens_error_worst_at_small_n(ds):
 def test_model_on_all_queries(ds, tmp_path):
     """§5.2/§5.6: every predicted curve is non-increasing, and the saved
     model is between 10 kB and 5 MB (the paper's ONNX file: ~1 MB)."""
-    m = ParameterModel(family="AE_PL", random_state=0).fit(
-        [r.to_example() for r in ds.records]
+    forest = RandomForestRegressor(random_state=0).fit(
+        [r.features for r in ds.records],
+        fit_ppm_targets("AE_PL", [r.to_example() for r in ds.records]),
     )
-    assert len(m.predict_params(ds.records[0].features)) == 3  # AE_PL has three parameters
-    assert all(
-        p.time(1) >= p.time(48) for p in (m.predict_ppm(r.features) for r in ds.records)
-    )
+    params = forest.predict([r.features for r in ds.records])
+    assert params.shape == (len(ds.records), 3)  # AE_PL has three parameters
+    assert all(p.time(1) >= p.time(48) for p in (from_params("AE_PL", x) for x in params))
     size = save_model(
         str(tmp_path / "m.repromodel"),
-        m.forest,
-        feature_names=list(m.feature_names),
-        target_names=list(m.target_names),
+        forest,
+        feature_names=list(FEATURE_NAMES),
+        target_names=list(PowerLawPPM.param_names),
     )
     assert 10_000 < size < 5_000_000

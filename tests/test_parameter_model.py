@@ -2,12 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.parameter_model import (
-    ParameterModel,
-    TrainingExample,
-    fit_ppm_targets,
-)
-from repro.core.ppm import AmdahlPPM, PowerLawPPM
+from repro.core.parameter_model import TrainingExample, fit_ppm_targets
+from repro.core.ppm import AmdahlPPM, PowerLawPPM, from_params
 from repro.core.training import (
     N_GRID,
     QueryRecord,
@@ -16,6 +12,7 @@ from repro.core.training import (
     run_cross_validation,
     sparklens_error_by_n,
 )
+from repro.ml.forest import RandomForestRegressor
 
 NS = list(N_GRID)
 
@@ -66,37 +63,40 @@ class TestFitTargets:
         assert y[0][1] == pytest.approx(500.0, rel=1e-6)
 
 
+def fit_forest(family, examples, **kw) -> RandomForestRegressor:
+    """The parameter model g of one family: a forest on the PPM targets."""
+    return RandomForestRegressor(**kw).fit(
+        [ex.features for ex in examples], fit_ppm_targets(family, examples)
+    )
+
+
 class TestParameterModel:
     def test_one_training_point_per_query(self):
         """§3.4: the parametric approach gives one row per query."""
         exs = [r.to_example() for r in synth_records(12)]
-        m = ParameterModel(family="AE_AL", n_estimators=5).fit(exs)
-        # forest was trained on exactly len(exs) rows: bootstrap indices
-        # drawn from [0, 12) — check via n_features bookkeeping + predict
-        assert m.forest.n_features_ == 19
+        f = fit_forest("AE_AL", exs, n_estimators=5)
+        assert f.n_features_ == 19
+        assert f.predict([exs[0].features]).shape == (1, 2)  # one row of (s, p)
 
     def test_predict_ppm_type(self):
         recs = synth_records(12)
-        m = ParameterModel(family="AE_PL", n_estimators=5).fit(
-            [r.to_example() for r in recs]
-        )
-        ppm = m.predict_ppm(recs[0].features)
+        f = fit_forest("AE_PL", [r.to_example() for r in recs], n_estimators=5)
+        ppm = from_params("AE_PL", f.predict([recs[0].features])[0])
         assert isinstance(ppm, PowerLawPPM)
         assert ppm.time(1) >= ppm.time(48)
 
     def test_learns_feature_dependence(self):
         """Predictions for a heavy query exceed those for a light one."""
         recs = synth_records(40)
-        m = ParameterModel(family="AE_AL", n_estimators=30, random_state=0).fit(
-            [r.to_example() for r in recs]
-        )
+        f = fit_forest("AE_AL", [r.to_example() for r in recs], n_estimators=30, random_state=0)
         heavy = max(recs, key=lambda r: r.features[17])
         light = min(recs, key=lambda r: r.features[17])
-        assert m.predict_ppm(heavy.features).time(1) > m.predict_ppm(light.features).time(1)
+        t1 = [from_params("AE_AL", p).time(1) for p in f.predict([heavy.features, light.features])]
+        assert t1[0] > t1[1]
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
-            ParameterModel(family="AE_AL").predict_params([0.0] * 19)
+            RandomForestRegressor().predict([[0.0] * 19])
 
 
 class TestKFold:
@@ -162,6 +162,32 @@ class TestCrossValidation:
         errs = error_by_n(recs, frs, on_train=True)
         for n, (mu, _) in errs.items():
             assert mu < 0.1
+
+    def test_fold_models_are_kept(self, cv):
+        """Each fold keeps its forest; scoring one test query at a time
+        gives the fold's (batch-scored) predictions bit for bit."""
+        recs, frs = cv
+        by_name = {r.name: r for r in recs}
+        for fr in frs:
+            for q in fr.test_queries:
+                one = from_params("AE_AL", fr.model.predict([by_name[q].features])[0])
+                assert np.array_equal(fr.predicted[q].params(), one.params())
+
+    def test_first_repeats_equal_a_shorter_run(self):
+        """The first 3·k folds of a 4-repeat CV are a 3-repeat CV: same
+        splits, predicted parameters and forest node arrays."""
+        recs = synth_records(14)
+        long = run_cross_validation(recs, family="AE_PL", repeats=4, folds=3, seed=5)
+        short = run_cross_validation(recs, family="AE_PL", repeats=3, folds=3, seed=5)
+        assert len(short) == 9
+        for a, b in zip(long, short):
+            assert (a.repeat, a.fold) == (b.repeat, b.fold)
+            assert (a.train_queries, a.test_queries) == (b.train_queries, b.test_queries)
+            for q in b.test_queries:
+                assert np.array_equal(a.predicted[q].params(), b.predicted[q].params())
+            assert np.array_equal(a.model.roots_, b.model.roots_)
+            for x, y in zip(a.model.nodes_, b.model.nodes_):
+                assert np.array_equal(x, y)
 
     def test_feature_mask(self):
         recs = synth_records(16)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.ppm import AmdahlPPM, PowerLawPPM
 from repro.core.selection import (
+    CANDIDATES,
     elbow_point,
     factorize_cores,
     interpolate_times,
@@ -118,20 +119,22 @@ class TestFactorizeCores:
         assert n * e_c == 100
 
     def test_memory_constraint_excludes_small_ec(self):
-        # 28 GB per executor: 8 executors of 1 core would need 224 GB
-        res = factorize_cores(8, candidate_ec=(1,))
-        assert res is None
+        # only e_c=1 divides 7, and 8 executors of 28 GB would need 224 GB
+        assert factorize_cores(7) is None
 
     def test_divisibility_required(self):
-        res = factorize_cores(10, candidate_ec=(4,))
-        assert res is None  # 10 % 4 != 0
+        # e_c=4 strands no core but does not divide 6; e_c=6 does
+        assert factorize_cores(6) == (1, 6)
 
     def test_prefers_smaller_ec_on_tie(self):
         # both 4 and 8 give zero stranded cores; 4 allows finer granularity
-        n, e_c = factorize_cores(16, candidate_ec=(4, 8))
-        assert e_c == 4 and n == 4
+        assert factorize_cores(16) == (4, 4)
 
     def test_stranded_core_minimisation(self):
         # e_c=6 strands 2 cores per 8-core node; e_c=4 strands none
-        n, e_c = factorize_cores(12, candidate_ec=(4, 6))
-        assert e_c == 4
+        assert factorize_cores(12) == (3, 4)
+
+    def test_rule_factorization_of_every_candidate(self):
+        """The rule asks for k = 4·n̂ cores: always n̂ executors of 4 cores."""
+        for n in CANDIDATES:
+            assert factorize_cores(4 * n) == (n, 4)
