@@ -115,6 +115,41 @@ def test_pinned_parameter_forest(family):
         assert forest.predict(row[None, :])[0].tobytes() == expected.tobytes()
 
 
+#: sha256 over every node array and the root ids of a 100-tree forest on
+#: fold 0 of the snapshot; any change to a split, a threshold, a child id,
+#: a leaf value or the node numbering changes them.
+PINNED_NODES_SHA256 = {
+    "AE_PL": "c683f17437b004554038a2d4c03860a85baa5395dc0ed83d6e7db4bc1cc068c1",
+    "AE_AL": "d3e9186651f2983dcfc9a21150fb4d2085b626cadf2388fea756e71f672b5be0",
+    "AE_PL one output": "e1f67583cd42d7cf378867b182a7d497ff1f7ee2bf58b1ec1f727506b648ec8b",
+    "AE_PL F1 columns": "370b90f6803fca6d4413400d4520c9008d6ccddc14151a7b13df878287d352f9",
+}
+
+
+def pinned_case(case):
+    """Training ``(X, y)`` of a :data:`PINNED_NODES_SHA256` case."""
+    from repro.experiments.exp_importance import FEATURE_SETS
+
+    family = case.split()[0]
+    X, y, _ = snapshot_fold(family)
+    if case.endswith("one output"):
+        return X, y[:, 0]
+    if case.endswith("F1 columns"):
+        return X[:, FEATURE_SETS["F1"]], y
+    return X, y
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_NODES_SHA256))
+def test_pinned_forest_nodes(case):
+    """The forests grow node for node as recorded: all-feature, one-output
+    and masked-column (§5.7) fits on the sf=0.1 snapshot."""
+    forest = RandomForestRegressor(n_estimators=100, random_state=0).fit(*pinned_case(case))
+    digest = hashlib.sha256()
+    for a in (*forest.nodes_, forest.roots_):
+        digest.update(np.ascontiguousarray(a, dtype=float if a.dtype.kind == "f" else np.int64))
+    assert digest.hexdigest() == PINNED_NODES_SHA256[case]
+
+
 def test_forest_fit_memory_is_bounded():
     """The forest grows level by level in bounded chunks: a 100-tree fit on
     the snapshot fold allocates a few MB at its peak, not a whole level's
