@@ -10,6 +10,13 @@ scalars jointly, like a multi-output ``RandomForestRegressor`` would).
 Splits minimise the summed per-output SSE (MSE criterion) over all
 features, matching sklearn's regression tree at its defaults: grown
 until pure, no depth limit, one sample per leaf at least.
+
+The split search scores only what can split. A node whose targets are
+all equal is a leaf. Of the other nodes, only the (node, feature) pairs
+whose feature varies inside the node are scored, and each only at its
+gaps, the positions where the sorted x changes. Every position left out
+would score as "no split" in a scan of all features at all positions,
+so the chosen split is the same as that scan's.
 """
 from __future__ import annotations
 
@@ -26,10 +33,10 @@ class Tree(NamedTuple):
     value: np.ndarray  # (nodes, outputs)
 
 
-#: Node-rows scored per step. A level's padded ``(nodes, rows, features,
-#: outputs)`` temporaries are built this many node-rows at a time, so the
-#: whole level never sits in memory at once.
-_CHUNK_ROWS = 512
+#: Pair-rows scored per step. A level's padded ``(pairs, rows, outputs)``
+#: gathers of (node, feature) pairs are built this many rows at a time (as
+#: many as 512 nodes × 20 columns), so a level never sits in memory at once.
+_CHUNK_PAIR_ROWS = 512 * 20
 
 
 def grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray) -> tuple[Tree, np.ndarray]:
@@ -38,8 +45,10 @@ def grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray) -> tuple[Tree, np.nd
     All trees grow together, one level per step. Each tree's sample block
     is stable-sorted once per feature; a node's rows then stay one
     contiguous segment of every sort order, and a split partitions the
-    segment stably in each. Returns the trees back to back in pre-order
-    with tree-local child ids, and the root id of each tree.
+    segment stably in each. A level scores each (impure node, varying
+    feature) pair along that feature's segment, at its gaps only. Returns
+    the trees back to back in pre-order with tree-local child ids, and the
+    root id of each tree.
 
     A node's mean adds its rows in sample order, as numpy's ``mean(axis=0)``
     does for two or more outputs; for one output numpy sums pairwise, so
@@ -89,31 +98,40 @@ def _split_level(xb, yb, order, start, size):
     """Best split ``(feature, threshold)`` and mean target of every node.
 
     A node whose targets are all equal, or whose rows no feature
-    separates, gets feature -1. Candidates are scored as a feature-by-
-    feature scan would: minimum summed child SSE from cumulative sums of
-    the sorted targets, positions with no gap in x excluded, ties to the
-    first feature.
+    separates, gets feature -1. Nodes of two or more rows are bucketed by
+    ``ceil(log2(size))``. Per bucket, the mean and the purity come from the
+    position-order rows, then each (impure node, varying feature) pair is
+    scored at its gaps; the pairs left out keep an infinite score. The
+    split is the minimum summed child SSE, ties to the first feature, as a
+    feature-by-feature scan would choose.
     """
     n_features = order.shape[0] - 1
     value = yb[order[0, start]]  # a one-row node's mean is its row
     sse = np.full((len(start), n_features), np.inf)
     at = np.zeros((len(start), n_features), dtype=int)
-    pure = np.ones(len(start), dtype=bool)
     many = np.flatnonzero(size >= 2)
     bucket = np.frexp(size[many] - 1)[1]  # ceil(log2(size))
+    columns = np.arange(n_features)
     for b in np.unique(bucket):
         nodes = many[bucket == b]
-        step = max(1, _CHUNK_ROWS >> b)
-        for c in range(0, len(nodes), step):
-            chunk = nodes[c : c + step]
-            value[chunk], pure[chunk], sse[chunk], at[chunk] = _score(
-                xb, yb, order, start[chunk], size[chunk]
-            )
+        _, ys, real = _gather(yb, order, np.zeros_like(nodes), start[nodes], size[nodes])
+        m = size[nodes, None]
+        value[nodes] = np.cumsum(ys, axis=1)[np.arange(len(nodes)), m[:, 0] - 1] / m
+        nodes = nodes[~((ys == ys[:, :1]) | ~real[:, :, None]).all(axis=(1, 2))]
+        # a feature varies in a node iff its sorted segment's ends differ
+        first = start[nodes, None]
+        last = first + size[nodes, None] - 1
+        varies = xb[order[columns + 1, first], columns] != xb[order[columns + 1, last], columns]
+        node, feature = np.nonzero(varies)
+        node = nodes[node]
+        step = max(1, _CHUNK_PAIR_ROWS >> b)
+        for c in range(0, len(node), step):
+            n, f = node[c : c + step], feature[c : c + step]
+            sse[n, f], at[n, f] = _score_pairs(xb, yb, order, start[n], size[n], f)
     feature, best = np.full(len(start), -1), np.full(len(start), np.inf)
     for f in range(n_features):
         better = sse[:, f] < best - 1e-12
         best[better], feature[better] = sse[better, f], f
-    feature[pure] = -1
     threshold = np.zeros(len(start))
     split = np.flatnonzero(feature >= 0)
     f = feature[split]
@@ -122,33 +140,46 @@ def _split_level(xb, yb, order, start, size):
     return feature, threshold, value
 
 
-def _score(xb, yb, order, start, size):
-    """Mean, purity, and per-feature best split SSE and position of nodes
-    given as segments; rows beyond a node's size are padded with zeros,
-    which leave every prefix sum of its real rows unchanged."""
-    m = size[:, None]
+def _gather(yb, order, which, start, size):
+    """Positions ``(segments, rows)`` and targets ``(segments, rows,
+    outputs)`` of the segments ``start : start + size`` of order rows
+    ``which``, and which rows are real. Padded rows repeat a segment's
+    first position and carry zero targets, which leave every prefix sum
+    of its real rows unchanged."""
     j = np.arange(size.max())
-    real = j < m
-    rows = order[:, np.where(real, start[:, None] + j, start[:, None])].transpose(1, 2, 0)
-    ys = yb[rows]  # (nodes, rows, 1 + features, outputs)
+    real = j < size[:, None]
+    rows = order[which[:, None], np.where(real, start[:, None] + j, start[:, None])]
+    ys = yb[rows]
     ys[~real] = 0.0
-    csum = np.cumsum(ys, axis=1)
-    node = np.arange(len(start))
-    value = csum[node, size - 1, 0] / m
-    pure = ((ys[:, :, 0] == ys[:, :1, 0]) | ~real[:, :, None]).all(axis=(1, 2))
-    ys, csum = ys[:, :, 1:], csum[:, :, 1:]
-    csum2 = np.cumsum(ys * ys, axis=1)
-    tot, tot2 = csum[node, size - 1, None], csum2[node, size - 1, None]
-    ls, ls2 = csum[:, :-1], csum2[:, :-1]
-    i = j[1:, None, None]  # left sizes; split between i-1 and i
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = ls2 - ls * ls / i
-        right = (tot2 - ls2) - (tot - ls) ** 2 / (m[:, :, None, None] - i)
+    return rows, ys, real
+
+
+def _score_pairs(xb, yb, order, start, size, feature):
+    """Best split SSE and position of (node, feature) pairs, each node a
+    segment in which its ``feature`` takes two values at least.
+
+    Prefix sums run over a pair's rows in its feature's order. The SSE is
+    evaluated only at gaps, ``x[k] != x[k + 1]``, and a pair's first
+    minimum is where ``argmin`` lands with every other position set to
+    infinity.
+    """
+    rows, ys, real = _gather(yb, order, feature + 1, start, size)
+    csum, csum2 = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
+    xs = xb[rows, feature[:, None]]
+    pair, k = np.nonzero((xs[:, :-1] != xs[:, 1:]) & real[:, 1:])
+    i, m = k + 1, size[pair]  # left sizes; split between k and k + 1
+    ls, ls2 = csum[pair, k], csum2[pair, k]
+    tot, tot2 = csum[pair, m - 1], csum2[pair, m - 1]
+    left = ls2 - ls * ls / i[:, None]
+    right = (tot2 - ls2) - (tot - ls) ** 2 / (m - i)[:, None]
     sse = _sum_outputs(left) + _sum_outputs(right)
-    xs = xb[rows[:, :, 1:], np.arange(rows.shape[2] - 1)]
-    sse[(xs[:, :-1] == xs[:, 1:]) | ~real[:, 1:, None]] = np.inf
-    at = np.argmin(sse, axis=1)
-    return value, pure, np.take_along_axis(sse, at[:, None], axis=1)[:, 0], at
+    # every pair has a gap, so the p-th run of ``pair`` holds pair p's gaps
+    best = np.minimum.reduceat(sse, np.flatnonzero(np.diff(pair, prepend=-1)))
+    hit = np.flatnonzero(sse == best[pair])
+    hit = hit[np.diff(pair[hit], prepend=-1) != 0]
+    at = np.zeros(len(start), dtype=int)
+    at[pair[hit]] = k[hit]
+    return best, at
 
 
 def _sum_outputs(a: np.ndarray) -> np.ndarray:

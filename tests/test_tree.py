@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml import tree as tree_mod
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import Tree, _sum_outputs, fit_tree, predict
 
@@ -107,6 +108,28 @@ class TestDecisionTree:
         with pytest.raises(RuntimeError):
             predict(None, np.array([0]), np.zeros((1, 1)))
 
+    def test_identical_rows_make_one_leaf_of_their_mean(self):
+        # impure, but no feature varies: there is no pair to score
+        X = np.tile([[1.0, 2.0, 3.0]], (3, 1))
+        t = fit_tree(X, np.array([1.0, 2.0, 6.0]))
+        assert t.feature.tolist() == [-1]
+        assert t.value.tolist() == [[3.0]]
+
+    def test_constant_column_is_never_chosen(self):
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 3, size=(40, 3)).astype(float)
+        X[:, 1] = 7.0
+        y = rng.integers(-50, 50, size=(40, 2)) / 10
+        f = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
+        assert set(f.nodes_.feature.tolist()) == {-1, 0, 2}
+
+    def test_node_separated_only_by_the_last_column_splits_on_it(self):
+        # the root splits on column 0; in each child only column 2 varies
+        X = np.array([[0.0, 5.0, 0.0], [0.0, 5.0, 1.0], [1.0, 5.0, 0.0], [1.0, 5.0, 1.0]])
+        t = fit_tree(X, 100 * X[:, 0] + X[:, 2])
+        assert t.feature.tolist() == [0, 2, -1, -1, 2, -1, -1]
+        assert t.threshold[[0, 1, 4]].tolist() == [0.5, 0.5, 0.5]
+
 
 @st.composite
 def training_sets(draw, denominator=8):
@@ -127,6 +150,41 @@ def training_sets(draw, denominator=8):
         np.asarray(X, dtype=float).reshape(n, n_features),
         np.asarray(y, dtype=float).reshape(n, n_outputs) / denominator,
     )
+
+
+@st.composite
+def pipeline_sets(draw):
+    """Training sets of a CV fold's shape: 19 columns of 1–6 distinct values
+    each (so some are constant), 30–120 rows that repeat, and 1–3 outputs
+    of integers / 10, so that the order of every sum shows."""
+    n = draw(st.integers(30, 120))
+    n_outputs = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [rng.integers(-1000, 1000, size=k) for k in rng.integers(1, 7, size=19)]
+    distinct = np.column_stack([rng.choice(v, size=n) for v in values]).astype(float)
+    X = distinct[rng.integers(0, 2 * n // 3, size=n)]
+    return X, rng.integers(-800, 800, size=(n, n_outputs)) / 10
+
+
+def assert_forest_equals_reference(X, y, n_estimators, seed):
+    """Every tree of a seeded forest equals :func:`reference_tree` on its
+    bootstrap sample, node for node."""
+    f = RandomForestRegressor(n_estimators=n_estimators, random_state=seed).fit(X, y)
+    rng = np.random.default_rng(seed)
+    ends = np.append(f.roots_[1:], len(f.nodes_.feature))
+    for root, end in zip(f.roots_, ends):
+        idx = rng.integers(0, len(X), size=len(X))
+        rng.integers(0, 2**31 - 1)
+        ref = reference_tree(X[idx], y[idx])
+        got = Tree(*(a[root:end] for a in f.nodes_))
+        for name in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        if y.shape[1] > 1:
+            assert np.array_equal(got.value, ref.value)
+        else:  # numpy sums a single column pairwise, the grower in row order;
+            # either sum is within (n - 1) eps sum|y| of the true one
+            bound = 2 * len(X) * np.finfo(float).eps * np.abs(y).max()
+            assert np.allclose(got.value, ref.value, rtol=0, atol=bound)
 
 
 class TestTreeProperties:
@@ -151,23 +209,18 @@ class TestTreeProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(training_sets(), training_sets(denominator=10)), st.integers(0, 2**16))
     def test_forest_trees_equal_depth_first_reference(self, data, seed):
-        X, y = data
-        f = RandomForestRegressor(n_estimators=5, random_state=seed).fit(X, y)
-        rng = np.random.default_rng(seed)
-        ends = np.append(f.roots_[1:], len(f.nodes_.feature))
-        for root, end in zip(f.roots_, ends):
-            idx = rng.integers(0, len(X), size=len(X))
-            rng.integers(0, 2**31 - 1)
-            ref = reference_tree(X[idx], y[idx])
-            got = Tree(*(a[root:end] for a in f.nodes_))
-            for name in ("feature", "threshold", "left", "right"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-            if y.shape[1] > 1:
-                assert np.array_equal(got.value, ref.value)
-            else:  # numpy sums a single column pairwise, the grower in row order;
-                # either sum is within (n - 1) eps sum|y| of the true one
-                bound = 2 * len(X) * np.finfo(float).eps * np.abs(y).max()
-                assert np.allclose(got.value, ref.value, rtol=0, atol=bound)
+        assert_forest_equals_reference(*data, n_estimators=5, seed=seed)
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    @settings(max_examples=20, deadline=None)
+    @given(pipeline_sets(), st.integers(0, 2**16))
+    def test_forest_at_pipeline_shape_equals_reference(self, chunk, data, seed):
+        """At a fold's shape a level mixes many size buckets; a small pair-row
+        budget also splits each bucket's pairs into many chunks."""
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(tree_mod, "_CHUNK_PAIR_ROWS", chunk)
+            assert_forest_equals_reference(*data, n_estimators=3, seed=seed)
 
     @settings(max_examples=30, deadline=None)
     @given(training_sets(), st.integers(0, 2**16))
