@@ -121,7 +121,7 @@ class AutoExecutorRule:
 
         t0 = time.perf_counter()
         ppm = ppm_mod.from_params(self.family, params)
-        times = {n: float(ppm.time(n)) for n in CANDIDATES}
+        times = ppm.times(CANDIDATES)
         n_sel = self.select(times)
         timings["selection_ms"] = (time.perf_counter() - t0) * 1e3
 

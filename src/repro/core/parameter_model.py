@@ -8,8 +8,9 @@ with :func:`repro.core.ppm.from_params`. Exactly as in the paper:
 - *one training data point per query*, regardless of how many
   configurations its run times cover (the parametric-PPM trick that
   shrinks training sets and model sizes vs a non-parametric model):
-  :func:`fit_ppm_targets` turns each query's times into one row of
-  parameters, ``(a, b, m)`` for ``AE_PL`` or ``(s, p)`` for ``AE_AL``;
+  :func:`fit_ppm` fits one query's times, and :func:`fit_ppm_targets`
+  turns each fit into one row of parameters, ``(a, b, m)`` for
+  ``AE_PL`` or ``(s, p)`` for ``AE_AL``;
 - the model is *scored once per query*; per-configuration times come
   from evaluating the predicted PPM function, not from re-scoring.
 """
@@ -31,11 +32,12 @@ class TrainingExample:
     times: dict[int, float]  # n -> t(n) (Sparklens estimates or actuals)
 
 
+def fit_ppm(family: str, times: dict[int, float]) -> ppm_mod.PPM:
+    """Fit the PPM ``family`` to one query's ``n → t(n)`` samples."""
+    ns = sorted(times)
+    return ppm_mod.fit(family, ns, [times[n] for n in ns])
+
+
 def fit_ppm_targets(family: str, examples: list[TrainingExample]) -> np.ndarray:
     """Fit the PPM to each example's times; rows are parameter vectors."""
-    rows = []
-    for ex in examples:
-        ns = sorted(ex.times)
-        model = ppm_mod.fit(family, ns, [ex.times[n] for n in ns])
-        rows.append(model.params())
-    return np.asarray(rows, dtype=float)
+    return np.asarray([fit_ppm(family, ex.times).params() for ex in examples], dtype=float)

@@ -37,8 +37,9 @@ class PPM:
     def time(self, n: float) -> float:
         raise NotImplementedError
 
-    def times(self, ns) -> np.ndarray:
-        return np.array([self.time(float(n)) for n in ns])
+    def times(self, ns) -> dict[int, float]:
+        """The predicted curve ``{n: t(n)}`` over the executor counts ``ns``."""
+        return {n: self.time(n) for n in ns}
 
     def params(self) -> np.ndarray:
         raise NotImplementedError

@@ -10,8 +10,8 @@ estimates, or interpolated actuals), pick the operating point:
   range-scale both axes to [0, 1], compute per-step slopes, and return
   the smallest ``n`` with ``slope(u(n)) ≥ 1`` and ``slope(u(n+1)) ≤ 1``.
 - :func:`interpolate_times` — piecewise-linear expansion of a sparse
-  ``n → t`` grid to every integer in ``[lo, hi]`` (§5.3 does this for
-  Actual and Sparklens series).
+  ``n → t`` grid to every candidate ``n`` in ``[1, 48]`` (§5.3 does this
+  for Actual and Sparklens series).
 - :func:`factorize_cores` — §3.3's optimization problem: split total
   cores ``k`` into (executors, cores-per-executor) minimising stranded
   cores per node under the node's core/memory capacity.
@@ -31,13 +31,11 @@ EXECUTOR_MEMORY_GB = 28.0
 CANDIDATE_EC = (1, 2, 4, 6, 8)
 
 
-def interpolate_times(times: dict[int, float], lo: int = 1, hi: int = 48) -> dict[int, float]:
-    """Piecewise-linear interpolation of a sparse n→t map onto [lo, hi]."""
+def interpolate_times(times: dict[int, float]) -> dict[int, float]:
+    """Piecewise-linear interpolation of a sparse n→t map onto :data:`CANDIDATES`."""
     ns = sorted(times)
-    ts = [times[n] for n in ns]
-    grid = range(lo, hi + 1)
-    vals = np.interp(list(grid), ns, ts)
-    return {n: float(v) for n, v in zip(grid, vals)}
+    vals = np.interp(CANDIDATES, ns, [times[n] for n in ns])
+    return {n: float(v) for n, v in zip(CANDIDATES, vals)}
 
 
 def limited_slowdown(times: dict[int, float], h: float) -> int:

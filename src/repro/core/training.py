@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import ppm as ppm_mod
-from repro.core.parameter_model import TrainingExample
+from repro.core.parameter_model import TrainingExample, fit_ppm
 from repro.core.ppm import PPM, error_metric
 from repro.ml.forest import RandomForestRegressor
 
@@ -92,14 +92,7 @@ def run_cross_validation(
     X = np.asarray([[r.features[i] for i in mask] for r in records], dtype=float)
     # one PPM fit per query to its Sparklens times, reused as the forest's
     # target and as ``fitted_train`` (the "Fit" series of Fig. 9a)
-    fits = {
-        r.name: ppm_mod.fit(
-            family,
-            sorted(r.sparklens_times),
-            [r.sparklens_times[n] for n in sorted(r.sparklens_times)],
-        )
-        for r in records
-    }
+    fits = {r.name: fit_ppm(family, r.sparklens_times) for r in records}
     for rep in range(repeats):
         for fi, (train_idx, test_idx) in enumerate(
             kfold_indices(len(records), folds, seed=seed + rep)
@@ -129,11 +122,22 @@ def run_cross_validation(
     return results
 
 
+def grid_errors(
+    truth: dict[str, dict[int, float]], curves: dict[str, dict[int, float]]
+) -> dict[int, float]:
+    """E(n) (Eq. 6) at every n of :data:`N_GRID`: each query's curve
+    ``curves[q]`` (n → t̂) against ``truth[q]`` (n → t), summed over the
+    queries of ``curves`` in their order."""
+    return {
+        n: error_metric({q: truth[q][n] for q in curves}, {q: c[n] for q, c in curves.items()})
+        for n in N_GRID
+    }
+
+
 def error_by_n(
     records: list[QueryRecord],
     fold_results: list[FoldResult],
     *,
-    ns: tuple[int, ...] = N_GRID,
     on_train: bool = False,
 ) -> dict[int, tuple[float, float]]:
     """Average E(n) (Eq. 6) over folds; returns n → (mean, std).
@@ -142,30 +146,21 @@ def error_by_n(
     times; ``on_train=True`` evaluates the training-set PPM *fits* (the
     "Fit" series of Fig. 9a).
     """
-    by_name = {r.name: r for r in records}
-    per_fold: dict[int, list[float]] = {n: [] for n in ns}
+    actual = {r.name: r.actual_times for r in records}
+    per_fold = []
     for fr in fold_results:
-        source = fr.fitted_train if on_train else fr.predicted
-        for n in ns:
-            per_fold[n].append(
-                error_metric(
-                    {q: by_name[q].actual_times[n] for q in source},
-                    {q: model.time(n) for q, model in source.items()},
-                )
-            )
-    return {
-        n: (float(np.mean(v)), float(np.std(v))) for n, v in per_fold.items()
-    }
+        models = fr.fitted_train if on_train else fr.predicted
+        per_fold.append(grid_errors(actual, {q: m.times(N_GRID) for q, m in models.items()}))
+    out = {}
+    for n in N_GRID:
+        v = [e[n] for e in per_fold]
+        out[n] = (float(np.mean(v)), float(np.std(v)))
+    return out
 
 
-def sparklens_error_by_n(
-    records: list[QueryRecord], *, ns: tuple[int, ...] = N_GRID
-) -> dict[int, float]:
+def sparklens_error_by_n(records: list[QueryRecord]) -> dict[int, float]:
     """E(n) of raw Sparklens estimates against actual times (series "S")."""
-    return {
-        n: error_metric(
-            {r.name: r.actual_times[n] for r in records},
-            {r.name: r.sparklens_times[n] for r in records},
-        )
-        for n in ns
-    }
+    return grid_errors(
+        {r.name: r.actual_times for r in records},
+        {r.name: r.sparklens_times for r in records},
+    )

@@ -29,13 +29,17 @@ from repro.core.selection import CANDIDATES, limited_slowdown
 from repro.experiments.common import Dataset, stable_seed
 
 
-def rule_predictions(ds: Dataset, *, h: float = 1.05, repeat: int = 0) -> dict[str, int]:
-    """query → n̂ from the AE_PL CV folds of one repeat (held-out)."""
-    folds = [fr for fr in ds.cv("AE_PL") if fr.repeat == repeat]
+#: the Rule's limited-slowdown threshold H (§5.4)
+RULE_H = 1.05
+
+
+def rule_predictions(ds: Dataset) -> dict[str, int]:
+    """query → n̂ from the AE_PL CV folds of the first repeat (held-out)."""
     out: dict[str, int] = {}
-    for fr in folds:
-        for q, model in fr.predicted.items():
-            out[q] = limited_slowdown({n: model.time(n) for n in CANDIDATES}, h)
+    for fr in ds.cv("AE_PL"):
+        if fr.repeat == 0:
+            for q, model in fr.predicted.items():
+                out[q] = limited_slowdown(model.times(CANDIDATES), RULE_H)
     return out
 
 
@@ -51,8 +55,8 @@ class PolicyComparison:
     fully_allocated: bool  # ran long enough for Rule's request to complete
 
 
-def compare_policies(ds: Dataset, *, h: float = 1.05) -> list[PolicyComparison]:
-    preds = rule_predictions(ds, h=h)
+def compare_policies(ds: Dataset) -> list[PolicyComparison]:
+    preds = rule_predictions(ds)
     out = []
     for rec in ds.records:
         graph = ds.graph(rec.name)
@@ -141,7 +145,7 @@ def format_report(ds: Dataset) -> str:
     comps = compare_policies(ds)
     s = summarize(comps)
     lines = [
-        "== Fig 13 / §5.4: DA(1,48) and SA(48) vs Rule (AE_PL, H=1.05) ==",
+        f"== Fig 13 / §5.4: DA(1,48) and SA(48) vs Rule (AE_PL, H={RULE_H}) ==",
         f"avg n ratio:    DA/Rule={s['n_ratio_da']:.1f}  SA48/Rule={s['n_ratio_sa48']:.1f}",
         f"avg AUC ratio:  DA/Rule={s['auc_ratio_da']:.1f}  SA48/Rule={s['auc_ratio_sa48']:.1f}",
         f"AUC saved:      vs DA={s['auc_saved_vs_da_pct']:.0f}%  vs SA48={s['auc_saved_vs_sa48_pct']:.0f}%",

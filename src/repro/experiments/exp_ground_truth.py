@@ -17,6 +17,9 @@ from repro.core.training import N_GRID
 from repro.experiments.common import Dataset, stable_seed
 
 Q94_ANALOGUE = "t7_ss_star_2000"
+#: the optimum's band over t_min: it absorbs run-to-run variance (§5.1
+#: reports 4–7 % CoV), as a practitioner reads "the optimum" off a noisy curve
+OPTIMUM_TOLERANCE = 1.05
 
 
 def tradeoff_curve(ds: Dataset, query: str = Q94_ANALOGUE) -> dict[int, dict[str, float]]:
@@ -29,23 +32,19 @@ def tradeoff_curve(ds: Dataset, query: str = Q94_ANALOGUE) -> dict[int, dict[str
     return out
 
 
-def optimal_executor_counts(ds: Dataset, *, tolerance: float = 1.05) -> dict[str, int]:
-    """query → smallest grid n with t(n) ≤ tolerance × t_min.
-
-    The tolerance absorbs run-to-run variance (§5.1 reports 4–7 % CoV),
-    mirroring how a practitioner reads "the optimum" off a noisy curve.
-    """
+def optimal_executor_counts(ds: Dataset) -> dict[str, int]:
+    """query → smallest grid n with t(n) ≤ :data:`OPTIMUM_TOLERANCE` × t_min."""
     out = {}
     for r in ds.records:
         t_min = min(r.actual_times.values())
         out[r.name] = min(
-            n for n in sorted(r.actual_times) if r.actual_times[n] <= tolerance * t_min
+            n for n in sorted(r.actual_times) if r.actual_times[n] <= OPTIMUM_TOLERANCE * t_min
         )
     return out
 
 
-def optimal_executor_distribution(ds: Dataset, **kw) -> Counter:
-    return Counter(optimal_executor_counts(ds, **kw).values())
+def optimal_executor_distribution(ds: Dataset) -> Counter:
+    return Counter(optimal_executor_counts(ds).values())
 
 
 def format_report(ds10: Dataset, ds100: Dataset) -> str:

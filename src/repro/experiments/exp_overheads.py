@@ -22,8 +22,9 @@ import time
 from dataclasses import dataclass
 
 from repro.core import ppm as ppm_mod
-from repro.core.features import FEATURE_NAMES, featurize_plan
-from repro.core.parameter_model import fit_ppm_targets
+from repro.core.autoexecutor import train_and_register
+from repro.core.features import featurize_plan
+from repro.core.parameter_model import fit_ppm, fit_ppm_targets
 from repro.experiments.common import Dataset
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.portable import ModelRegistry
@@ -47,8 +48,7 @@ def measure(ds: Dataset) -> Overheads:
 
     t0 = time.perf_counter()
     for ex in examples:
-        ns = sorted(ex.times)
-        ppm_mod.fit("AE_PL", ns, [ex.times[n] for n in ns])
+        fit_ppm("AE_PL", ex.times)
     fit_ms = (time.perf_counter() - t0) / len(examples) * 1e3
 
     train = []  # one cold fit swings up to 2x with the host's load
@@ -68,12 +68,8 @@ def measure(ds: Dataset) -> Overheads:
     score_ms = (time.perf_counter() - t0) / 20 * 1e3
 
     with tempfile.TemporaryDirectory() as tmp:
-        size = ModelRegistry(tmp).register(
-            "m",
-            forest,
-            feature_names=list(FEATURE_NAMES),
-            target_names=list(ppm_mod.PowerLawPPM.param_names),
-        )
+        # the same random_state=0 forest as the timed fits, so the same bytes
+        size = train_and_register(ModelRegistry(tmp), "m", "AE_PL", examples)
         loads = []  # each from a fresh registry, so every get is cold
         for _ in range(5):
             reg = ModelRegistry(tmp)

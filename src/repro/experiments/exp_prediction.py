@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import ppm as ppm_mod
-from repro.core.training import (
-    N_GRID,
-    error_by_n,
-    sparklens_error_by_n,
-)
+from repro.core.parameter_model import fit_ppm
+from repro.core.training import N_GRID, error_by_n, grid_errors, sparklens_error_by_n
 from repro.experiments.common import Dataset
 
 #: the held-out query of Fig 8, our analogue of TPC-DS q94
@@ -25,22 +21,13 @@ FIG8_QUERY = "t7_ss_star_2000"
 
 def fit_to_sparklens(ds: Dataset) -> dict[str, dict[int, float]]:
     """Fig 4: E(n) of each PPM family *against Sparklens estimates*."""
-    out: dict[str, dict[int, float]] = {}
-    for family in ("AE_PL", "AE_AL"):
-        fits = {}
-        for r in ds.records:
-            grid = sorted(r.sparklens_times)
-            fits[r.name] = ppm_mod.fit(
-                family, grid, [r.sparklens_times[n] for n in grid]
-            )
-        out[family] = {
-            n: ppm_mod.error_metric(
-                {r.name: r.sparklens_times[n] for r in ds.records},
-                {r.name: fits[r.name].time(n) for r in ds.records},
-            )
-            for n in N_GRID
-        }
-    return out
+    sparklens = {r.name: r.sparklens_times for r in ds.records}
+    return {
+        family: grid_errors(
+            sparklens, {q: fit_ppm(family, t).times(N_GRID) for q, t in sparklens.items()}
+        )
+        for family in ("AE_PL", "AE_AL")
+    }
 
 
 def example_curves(ds: Dataset, query: str) -> dict[str, dict[int, float]]:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from repro.core import ppm as ppm_mod
 from repro.core.parameter_model import fit_ppm_targets
-from repro.core.ppm import error_metric
-from repro.core.training import N_GRID
+from repro.core.training import N_GRID, grid_errors
 from repro.experiments.common import Dataset
 from repro.ml.forest import RandomForestRegressor
 
@@ -21,33 +20,27 @@ def cross_sf_errors(train_ds: Dataset, test_ds: Dataset) -> dict[str, dict[int, 
     plus Sparklens references from both scale factors.
     """
     out: dict[str, dict[int, float]] = {}
-    actual = {
-        n: {r.name: r.actual_times[n] for r in test_ds.records} for n in N_GRID
-    }
+    actual = {r.name: r.actual_times for r in test_ds.records}
     for family in ("AE_PL", "AE_AL"):
         forest = RandomForestRegressor(random_state=0).fit(
             [r.features for r in train_ds.records],
             fit_ppm_targets(family, [r.to_example() for r in train_ds.records]),
         )
         params = forest.predict([r.features for r in test_ds.records])
-        preds = {
-            r.name: ppm_mod.from_params(family, p) for r, p in zip(test_ds.records, params)
-        }
-        out[family] = {
-            n: error_metric(actual[n], {q: m.time(n) for q, m in preds.items()})
-            for n in N_GRID
-        }
+        out[family] = grid_errors(
+            actual,
+            {
+                r.name: ppm_mod.from_params(family, p).times(N_GRID)
+                for r, p in zip(test_ds.records, params)
+            },
+        )
     # Sparklens references: estimates from the test SF's own runs, and the
     # *training* SF's runs applied to the test SF's actual times.
     by_name_train = {r.name: r for r in train_ds.records}
-    for label, source in (
-        ("S_test", {r.name: r.sparklens_times for r in test_ds.records}),
-        ("S_train", {r.name: by_name_train[r.name].sparklens_times for r in test_ds.records}),
-    ):
-        out[label] = {
-            n: error_metric(actual[n], {q: times[n] for q, times in source.items()})
-            for n in N_GRID
-        }
+    out["S_test"] = grid_errors(actual, {r.name: r.sparklens_times for r in test_ds.records})
+    out["S_train"] = grid_errors(
+        actual, {r.name: by_name_train[r.name].sparklens_times for r in test_ds.records}
+    )
     return out
 
 

@@ -56,9 +56,7 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
             per_fold_n, per_fold_slow = [], []
             for fr in folds[family]:
                 sels = {
-                    q: limited_slowdown(
-                        {n: m.time(n) for n in CANDIDATES}, h
-                    )
+                    q: limited_slowdown(m.times(CANDIDATES), h)
                     for q, m in fr.predicted.items()
                 }
                 per_fold_n.append(np.mean(list(sels.values())))
@@ -72,14 +70,13 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
     return out
 
 
-def static_speedups(ds: Dataset, *, family: str = "AE_PL") -> dict[int, float]:
-    """Average speedup of H=1 selections over static n ∈ {2, 3, 8}."""
+def static_speedups(ds: Dataset) -> dict[int, float]:
+    """Average speedup of AE_PL's H=1 selections over static n ∈ {2, 3, 8}."""
     actual = _actual_interp(ds)
-    folds = ds.cv(family)
     speedups: dict[int, list[float]] = {2: [], 3: [], 8: []}
-    for fr in folds:
+    for fr in ds.cv("AE_PL"):
         for q, m in fr.predicted.items():
-            n_sel = limited_slowdown({n: m.time(n) for n in CANDIDATES}, 1.0)
+            n_sel = limited_slowdown(m.times(CANDIDATES), 1.0)
             t_sel = actual[q][n_sel]
             for n_static in speedups:
                 speedups[n_static].append(actual[q][n_static] / t_sel)
@@ -104,7 +101,7 @@ def elbow_distribution(ds: Dataset) -> dict[str, Counter]:
         per_query: dict[str, list[int]] = {}
         for fr in folds:
             for q, m in fr.predicted.items():
-                l = elbow_point({n: m.time(n) for n in CANDIDATES})
+                l = elbow_point(m.times(CANDIDATES))
                 per_query.setdefault(q, []).append(l)
         out[family] = Counter(
             int(round(np.mean(v))) for v in per_query.values()

@@ -30,19 +30,21 @@ from pyspark.sql import DataFrame, SparkSession
 
 MAX_INT32 = 2**31 - 1
 
+#: the shares of apps that the paper publishes (§2)
+P_DYNAMIC_ALLOCATION = 0.59
+P_DEFAULT_BOUNDS = 0.97  # among DA apps
+P_DEFAULT_STATIC_N = 0.80  # among non-DA apps: n = 2
+P_MULTI_QUERY = 0.62  # apps with > 1 query
+P_EXCLUSIVE_CLUSTER = 0.70  # apps sharing cluster with nobody
+
 
 @dataclass
 class TraceConfig:
-    """Scale and shape knobs for the synthetic trace."""
+    """Scale and seed of the synthetic trace."""
 
     n_apps: int = 9000
     n_clusters: int = 325
     seed: int = 7
-    p_dynamic_allocation: float = 0.59
-    p_default_bounds: float = 0.97  # among DA apps
-    p_default_static_n: float = 0.80  # among non-DA apps: n = 2
-    p_multi_query: float = 0.62  # apps with > 1 query
-    p_exclusive_cluster: float = 0.70  # apps sharing cluster with nobody
 
 
 def generate_trace(
@@ -60,13 +62,12 @@ def generate_trace(
     n = cfg.n_apps
 
     # --- application-level attributes -------------------------------------
-    multi = g.random(n) < cfg.p_multi_query
+    multi = g.random(n) < P_MULTI_QUERY
     # heavy-tailed queries-per-app for multi-query apps (2..~200)
     nq = np.where(multi, 2 + np.floor(g.pareto(1.1, n) * 3).astype(int), 1)
     nq = np.clip(nq, 1, 400)
-    da = g.random(n) < cfg.p_dynamic_allocation
-    default_bounds = g.random(n) < cfg.p_default_bounds
-    min_exec = np.where(da & default_bounds, 0, 0)
+    da = g.random(n) < P_DYNAMIC_ALLOCATION
+    default_bounds = g.random(n) < P_DEFAULT_BOUNDS
     # custom ranges for the 3% of DA apps: ~60% have range 2, rest up to 64
     custom_range = np.where(
         g.random(n) < 0.6, 2, np.minimum(64, 2 ** g.integers(2, 7, n))
@@ -75,10 +76,10 @@ def generate_trace(
         da, np.where(default_bounds, MAX_INT32, custom_range), 0
     )
     static_n = np.where(
-        g.random(n) < cfg.p_default_static_n, 2, g.integers(1, 33, n)
+        g.random(n) < P_DEFAULT_STATIC_N, 2, g.integers(1, 33, n)
     )
     # cluster assignment: ~70% of apps get an exclusive cluster slot
-    exclusive = g.random(n) < cfg.p_exclusive_cluster
+    exclusive = g.random(n) < P_EXCLUSIVE_CLUSTER
     cluster = np.where(
         exclusive,
         g.integers(0, cfg.n_clusters, n),
@@ -96,7 +97,7 @@ def generate_trace(
             "cluster_id": cluster,
             "num_queries": nq,
             "dynamic_allocation": da,
-            "min_executors": min_exec.astype("int64"),
+            "min_executors": np.zeros(n, dtype="int64"),  # no app sets a lower bound
             "max_executors": max_exec.astype("int64"),
             "static_executors": np.where(da, 0, static_n).astype("int64"),
             "start_time": start,

@@ -1,7 +1,4 @@
 """Tests for the Table-2 featurizer over real Catalyst plans and skeletons."""
-import json
-import os
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +10,8 @@ from repro.core.features import (
     featurize_plan,
     plan_features,
 )
-from repro.experiments.common import _skeleton_from_json
 from repro.workloads.tpcds_lite import query_by_name
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from tests.snapshot import snapshot_records, snapshot_skeletons
 
 
 def featurize_sql(spark, sql):
@@ -156,9 +151,7 @@ class TestPlanFeatures:
 
     def test_stored_features_match_skeletons(self):
         """The snapshot's stored features derive exactly from its skeletons."""
-        path = os.path.join(REPO, "perfbench", "data", "dataset_sf0.1.json")
-        with open(path) as f:
-            doc = json.load(f)
-        for q in doc["queries"]:
-            derived = plan_features(_skeleton_from_json(q["skeleton"])).as_vector()
-            assert derived == q["features"], q["name"]
+        skeletons = snapshot_skeletons()
+        for r in snapshot_records():
+            derived = plan_features(skeletons[r.name]).as_vector()
+            assert derived == r.features, r.name

@@ -1,13 +1,12 @@
 """Unit tests for the Random-Forest substrate."""
 import hashlib
-import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestRegressor
+from tests.snapshot import snapshot_records
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +71,6 @@ class TestRandomForest:
         assert err_f <= err_t * 1.1
 
 
-SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dataset_sf0.1.json"
-
 #: sha256 of the fold-0 test predictions; any change to a split, a leaf
 #: value or the order in which tree outputs are summed changes them.
 PINNED_SHA256 = {
@@ -85,21 +82,14 @@ PINNED_SHA256 = {
 def snapshot_fold(family):
     """Fold 0 of the 5-fold CV on the sf=0.1 snapshot: training features,
     PPM-parameter targets and test features."""
-    from repro.core.parameter_model import TrainingExample, fit_ppm_targets
+    from repro.core.parameter_model import fit_ppm_targets
     from repro.core.training import kfold_indices
 
-    queries = json.loads(SNAPSHOT.read_text())["queries"]
-    train, test = kfold_indices(len(queries), 5, seed=0)[0]
-    examples = [
-        TrainingExample(
-            query=queries[i]["name"],
-            features=queries[i]["features"],
-            times={int(n): t for n, t in queries[i]["sparklens"].items()},
-        )
-        for i in train
-    ]
+    records = snapshot_records()
+    train, test = kfold_indices(len(records), 5, seed=0)[0]
+    examples = [records[i].to_example() for i in train]
     X = np.asarray([ex.features for ex in examples], dtype=float)
-    Xte = np.asarray([queries[i]["features"] for i in test], dtype=float)
+    Xte = np.asarray([records[i].features for i in test], dtype=float)
     return X, fit_ppm_targets(family, examples), Xte
 
 

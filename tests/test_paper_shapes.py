@@ -4,9 +4,6 @@ The snapshot (``perfbench/data/dataset_sf0.1.json``) holds the plan
 skeletons of all 103 queries; the dataset is derived from them, so these
 run without Spark.
 """
-import json
-import os
-
 import pytest
 
 from repro.cluster.allocation import DynamicAllocation, PredictiveRule, StaticAllocation
@@ -19,20 +16,12 @@ from repro.core.training import sparklens_error_by_n
 from repro.experiments import common, exp_core_impact
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.portable import save_model
-
-SNAPSHOT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "perfbench", "data", "dataset_sf0.1.json",
-)
+from tests.snapshot import snapshot_skeletons
 
 
 @pytest.fixture(scope="module")
 def ds() -> common.Dataset:
-    with open(SNAPSHOT) as f:
-        queries = json.load(f)["queries"]
-    ds = common.dataset_from_skeletons(
-        0.1, {q["name"]: common._skeleton_from_json(q["skeleton"]) for q in queries}
-    )
+    ds = common.dataset_from_skeletons(0.1, snapshot_skeletons())
     assert len(ds.records) == 103
     return ds
 

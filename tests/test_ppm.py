@@ -34,7 +34,7 @@ class TestPowerLaw:
 
     def test_monotone_nonincreasing(self):
         fitted = fit_power_law(NS, [100.0, 55, 42, 36, 34, 33])
-        ts = fitted.times(range(1, 49))
+        ts = list(fitted.times(range(1, 49)).values())
         assert np.all(np.diff(ts) <= 1e-9)
 
     def test_positive_slope_clamped(self):
@@ -79,7 +79,7 @@ class TestAmdahl:
 
     def test_monotone_nonincreasing(self):
         fitted = fit_amdahl(NS, [500.0, 200, 90, 60, 50, 45])
-        ts = fitted.times(range(1, 49))
+        ts = list(fitted.times(range(1, 49)).values())
         assert np.all(np.diff(ts) <= 1e-9)
 
     def test_no_saturation_term(self):

@@ -1,7 +1,5 @@
 """Unit tests for the event-driven cluster simulator."""
 import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +14,8 @@ from repro.cluster.allocation import (
 from repro.cluster.simulator import core_efficiency, simulate
 from repro.cluster.taskgraph import Stage, TaskGraph, build_task_graph
 from repro.core.features import PlanNode
-from repro.experiments.common import _skeleton_from_json, ground_truth_times, sparklens_times
+from repro.experiments.common import ground_truth_times, sparklens_times
+from tests.snapshot import snapshot_records, snapshot_skeletons
 
 
 def make_graph(fact_bytes=4_000_000, query="q"):
@@ -229,14 +228,11 @@ class TestCoreEfficiency:
         assert abs(t_ec8 - t_ec4) / t_ec4 < 0.35
 
 
-SNAPSHOT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dataset_sf0.1.json"
-
-
 @pytest.fixture(scope="module")
 def snapshot():
-    """Every query of the sf=0.1 snapshot with its task graph."""
-    queries = json.loads(SNAPSHOT.read_text())["queries"]
-    return [(q, build_task_graph(q["name"], _skeleton_from_json(q["skeleton"]))) for q in queries]
+    """Every query record of the sf=0.1 snapshot with its task graph."""
+    skeletons = snapshot_skeletons()
+    return [(r, build_task_graph(r.name, skeletons[r.name])) for r in snapshot_records()]
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +332,6 @@ def test_pinned_random_runs():
 def test_snapshot_ground_truth_and_sparklens_exact(snapshot):
     """Ground truth and Sparklens estimates reproduce the snapshot exactly."""
     assert len(snapshot) == 103
-    for q, g in snapshot:
-        assert ground_truth_times(g) == {int(n): t for n, t in q["actual"].items()}, q["name"]
-        assert sparklens_times(g) == {int(n): t for n, t in q["sparklens"].items()}, q["name"]
+    for r, g in snapshot:
+        assert ground_truth_times(g) == r.actual_times, r.name
+        assert sparklens_times(g) == r.sparklens_times, r.name
