@@ -29,15 +29,40 @@ from repro.ml.portable import ModelRegistry, PortableModel
 
 @dataclass
 class Prediction:
-    """Outcome of one AutoExecutor rule invocation."""
+    """Outcome of one AutoExecutor decision."""
 
     query: str
-    params: list[float]
     ppm: ppm_mod.PPM
     times: dict[int, float]  # predicted t(n) over candidates
     n_selected: int
     factorization: tuple[int, int] | None  # (n, e_c) for k = n * e_c_default
     timings_ms: dict[str, float] = field(default_factory=dict)
+
+
+#: ``("slowdown", H)`` picks the smallest n within a slowdown threshold H
+#: of the predicted minimum, ``("elbow",)`` the point "right before the
+#: performance flattens" (§4.4); the Rule of §5.4 uses H = 1.05
+DEFAULT_STRATEGY = ("slowdown", 1.05)
+
+
+def decide(ppm: ppm_mod.PPM, strategy: tuple = DEFAULT_STRATEGY, *, query: str = "?") -> Prediction:
+    """§4.4 on a predicted PPM: evaluate it over :data:`CANDIDATES`, select
+    n̂ by ``strategy`` and factorize its cores. The one decision path of
+    the live rule, §5.3 and §5.4."""
+    times = ppm.times(CANDIDATES)
+    if strategy[0] == "slowdown":
+        n_sel = limited_slowdown(times, strategy[1])
+    elif strategy[0] == "elbow":
+        n_sel = elbow_point(times)
+    else:
+        raise ValueError(f"unknown strategy {strategy}")
+    return Prediction(
+        query=query,
+        ppm=ppm,
+        times=times,
+        n_selected=n_sel,
+        factorization=factorize_cores(n_sel * 4),
+    )
 
 
 def train_and_register(
@@ -65,29 +90,17 @@ def train_and_register(
 
 @dataclass
 class AutoExecutorRule:
-    """The optimizer rule: predict-then-request, invoked once per query.
-
-    ``strategy`` is either ``("slowdown", H)`` — smallest n within a
-    slowdown threshold H of the predicted minimum — or ``("elbow",)`` —
-    the §4.4 default that picks the point "right before the performance
-    flattens".
-    """
+    """The optimizer rule: predict-then-request, invoked once per query,
+    choosing n̂ by :func:`decide` with ``strategy``."""
 
     registry: ModelRegistry
     model_name: str
     family: str
-    strategy: tuple = ("slowdown", 1.05)
+    strategy: tuple = DEFAULT_STRATEGY
 
     def _load(self) -> PortableModel:
         # load-once semantics: the registry caches after the first call
         return self.registry.get(self.model_name)
-
-    def select(self, times: dict[int, float]) -> int:
-        if self.strategy[0] == "slowdown":
-            return limited_slowdown(times, self.strategy[1])
-        if self.strategy[0] == "elbow":
-            return elbow_point(times)
-        raise ValueError(f"unknown strategy {self.strategy}")
 
     def apply(self, df: DataFrame, *, query_name: str = "?") -> Prediction:
         """Run the rule on an (already optimized) DataFrame plan."""
@@ -114,26 +127,16 @@ class AutoExecutorRule:
         query_name: str,
         timings: dict[str, float],
     ) -> Prediction:
-        """Predict PPM parameters, evaluate the candidates and select n̂."""
+        """Predict the PPM's parameters, then :func:`decide` on the PPM."""
         t0 = time.perf_counter()
         params = model.predict(vector)[0]
         timings["inference_ms"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        ppm = ppm_mod.from_params(self.family, params)
-        times = ppm.times(CANDIDATES)
-        n_sel = self.select(times)
+        pred = decide(ppm_mod.from_params(self.family, params), self.strategy, query=query_name)
         timings["selection_ms"] = (time.perf_counter() - t0) * 1e3
-
-        return Prediction(
-            query=query_name,
-            params=[float(p) for p in params],
-            ppm=ppm,
-            times=times,
-            n_selected=n_sel,
-            factorization=factorize_cores(n_sel * 4),
-            timings_ms=timings,
-        )
+        pred.timings_ms = timings
+        return pred
 
 
 assert len(FEATURE_NAMES) == 19, "Table-2 featurizer drifted from 19 features"

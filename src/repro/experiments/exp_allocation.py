@@ -4,9 +4,10 @@ For every query, run the cluster simulator under three policies:
 
 - ``DA(1,48)`` — Spark dynamic allocation restricted to [1, 48];
 - ``SA(48)`` — static allocation of the full pool;
-- ``Rule(n̂)`` — AutoExecutor: n̂ predicted by AE_PL with the H=1.05
-  limited-slowdown objective from one set of 5-fold CV experiments
-  (each query's n̂ comes from the fold where it was held out).
+- ``Rule(n̂)`` — AutoExecutor: n̂ chosen by the rule's own
+  :func:`~repro.core.autoexecutor.decide` (H=1.05 limited slowdown) on
+  AE_PL's PPM predicted by one set of 5-fold CV experiments (each
+  query's PPM comes from the fold where it was held out).
 
 Reported per query and on average: ratios of max executors n, AUC
 (executor occupancy), and run time t, DA/Rule and SA/Rule — the paper's
@@ -25,22 +26,19 @@ from repro.cluster.allocation import (
     StaticAllocation,
 )
 from repro.cluster.simulator import RunResult, simulate
-from repro.core.selection import CANDIDATES, limited_slowdown
+from repro.core.autoexecutor import DEFAULT_STRATEGY, Prediction, decide
 from repro.experiments.common import Dataset, stable_seed
 
 
-#: the Rule's limited-slowdown threshold H (§5.4)
-RULE_H = 1.05
-
-
-def rule_predictions(ds: Dataset) -> dict[str, int]:
-    """query → n̂ from the AE_PL CV folds of the first repeat (held-out)."""
-    out: dict[str, int] = {}
-    for fr in ds.cv("AE_PL"):
-        if fr.repeat == 0:
-            for q, model in fr.predicted.items():
-                out[q] = limited_slowdown(model.times(CANDIDATES), RULE_H)
-    return out
+def rule_predictions(ds: Dataset) -> dict[str, Prediction]:
+    """query → the rule's decision on its AE_PL PPM predicted by the CV
+    folds of the first repeat (held-out)."""
+    return {
+        q: decide(m, query=q)
+        for fr in ds.cv("AE_PL")
+        if fr.repeat == 0
+        for q, m in fr.predicted.items()
+    }
 
 
 @dataclass
@@ -48,7 +46,7 @@ class PolicyComparison:
     """Per-query metrics for the three §5.4 policies."""
 
     query: str
-    n_pred: int
+    prediction: Prediction
     da: RunResult
     sa48: RunResult
     rule: RunResult
@@ -60,7 +58,7 @@ def compare_policies(ds: Dataset) -> list[PolicyComparison]:
     out = []
     for rec in ds.records:
         graph = ds.graph(rec.name)
-        n_pred = preds[rec.name]
+        pred = preds[rec.name]
         da = simulate(
             graph, DynamicAllocation(1, 48), seed=stable_seed(rec.name, "da")
         )
@@ -69,17 +67,17 @@ def compare_policies(ds: Dataset) -> list[PolicyComparison]:
         )
         rule = simulate(
             graph,
-            PredictiveRule(n_predicted=n_pred),
+            PredictiveRule(n_predicted=pred.n_selected),
             seed=stable_seed(rec.name, "rule"),
         )
         out.append(
             PolicyComparison(
                 query=rec.name,
-                n_pred=n_pred,
+                prediction=pred,
                 da=da,
                 sa48=sa,
                 rule=rule,
-                fully_allocated=rule.max_executors >= max(n_pred, 5),
+                fully_allocated=rule.max_executors >= max(pred.n_selected, 5),
             )
         )
     return out
@@ -118,10 +116,9 @@ def summarize(comps: list[PolicyComparison]) -> dict[str, float]:
     }
 
 
-def skyline_example(ds: Dataset, query: str, *, n_pred: int | None = None) -> dict:
+def skyline_example(ds: Dataset, query: str, *, n_pred: int) -> dict:
     """Fig 12: skylines for DA(1,48), SA(48), SA(n̂), Rule(n̂) for one query."""
     graph = ds.graph(query)
-    n_pred = n_pred or rule_predictions(ds)[query]
     runs = {
         "DA(1,48)": simulate(graph, DynamicAllocation(1, 48), seed=stable_seed(query, "f12da")),
         "SA(48)": simulate(graph, StaticAllocation(48), seed=stable_seed(query, "f12sa")),
@@ -145,16 +142,18 @@ def format_report(ds: Dataset) -> str:
     comps = compare_policies(ds)
     s = summarize(comps)
     lines = [
-        f"== Fig 13 / §5.4: DA(1,48) and SA(48) vs Rule (AE_PL, H={RULE_H}) ==",
+        f"== Fig 13 / §5.4: DA(1,48) and SA(48) vs Rule (AE_PL, H={DEFAULT_STRATEGY[1]}) ==",
         f"avg n ratio:    DA/Rule={s['n_ratio_da']:.1f}  SA48/Rule={s['n_ratio_sa48']:.1f}",
         f"avg AUC ratio:  DA/Rule={s['auc_ratio_da']:.1f}  SA48/Rule={s['auc_ratio_sa48']:.1f}",
         f"AUC saved:      vs DA={s['auc_saved_vs_da_pct']:.0f}%  vs SA48={s['auc_saved_vs_sa48_pct']:.0f}%",
         f"Rule slowdown:  vs DA={s['slowdown_vs_da_pct']:.0f}%  vs SA48={s['slowdown_vs_sa48_pct']:.0f}%",
         f"fully-allocated queries: {s['fully_allocated']}/{s['queries']}",
     ]
-    ex = skyline_example(ds, "t7_ss_star_2000")
+    query = "t7_ss_star_2000"
+    pred = next(c.prediction for c in comps if c.query == query)
+    ex = skyline_example(ds, query, n_pred=pred.n_selected)
     lines.append("")
-    lines.append("== Fig 12: example skylines (t7_ss_star_2000, q94 analogue) ==")
+    lines.append(f"== Fig 12: example skylines ({query}, q94 analogue) ==")
     for name, r in ex.items():
         lines.append(f"{name:<10} t={r['t']:6.0f}s  max_n={r['max_n']:>2}  AUC={r['auc']:7.0f}")
     return "\n".join(lines)

@@ -1,5 +1,9 @@
 """Experiment: configuration selection (Fig 10, Fig 11; §5.3).
 
+Each model series chooses n̂ from a fold's predicted PPM through the
+rule's own :func:`~repro.core.autoexecutor.decide`; the Actual and
+Sparklens series are curves of times, read by the same selections.
+
 - :func:`limited_slowdown_table` — for each slowdown threshold H, the
   average selected n and the *actual* slowdown realised by running at the
   selected n (actual times piecewise-linearly interpolated to [1, 48]).
@@ -14,7 +18,8 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.selection import CANDIDATES, elbow_point, interpolate_times, limited_slowdown
+from repro.core.autoexecutor import decide
+from repro.core.selection import elbow_point, interpolate_times, limited_slowdown
 from repro.experiments.common import Dataset
 
 H_VALUES = (1.0, 1.05, 1.1, 1.2, 1.5, 2.0)
@@ -55,10 +60,7 @@ def limited_slowdown_table(ds: Dataset) -> dict[str, dict[float, dict[str, float
         for h in H_VALUES:
             per_fold_n, per_fold_slow = [], []
             for fr in folds[family]:
-                sels = {
-                    q: limited_slowdown(m.times(CANDIDATES), h)
-                    for q, m in fr.predicted.items()
-                }
+                sels = {q: decide(m, ("slowdown", h)).n_selected for q, m in fr.predicted.items()}
                 per_fold_n.append(np.mean(list(sels.values())))
                 per_fold_slow.append(np.mean([realised(q, n) for q, n in sels.items()]))
             out[family][h] = {
@@ -76,7 +78,7 @@ def static_speedups(ds: Dataset) -> dict[int, float]:
     speedups: dict[int, list[float]] = {2: [], 3: [], 8: []}
     for fr in ds.cv("AE_PL"):
         for q, m in fr.predicted.items():
-            n_sel = limited_slowdown(m.times(CANDIDATES), 1.0)
+            n_sel = decide(m, ("slowdown", 1.0)).n_selected
             t_sel = actual[q][n_sel]
             for n_static in speedups:
                 speedups[n_static].append(actual[q][n_static] / t_sel)
@@ -101,8 +103,7 @@ def elbow_distribution(ds: Dataset) -> dict[str, Counter]:
         per_query: dict[str, list[int]] = {}
         for fr in folds:
             for q, m in fr.predicted.items():
-                l = elbow_point(m.times(CANDIDATES))
-                per_query.setdefault(q, []).append(l)
+                per_query.setdefault(q, []).append(decide(m, ("elbow",)).n_selected)
         out[family] = Counter(
             int(round(np.mean(v))) for v in per_query.values()
         )

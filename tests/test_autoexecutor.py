@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from repro.core.autoexecutor import AutoExecutorRule, Prediction, train_and_register
-from repro.core.features import featurize_plan
+from repro.core.autoexecutor import AutoExecutorRule, Prediction, decide, train_and_register
+from repro.core.features import FEATURE_NAMES, featurize_plan
 from repro.core.parameter_model import TrainingExample
-from repro.core.ppm import AmdahlPPM, PowerLawPPM
+from repro.core.ppm import MODEL_FAMILIES, AmdahlPPM, PowerLawPPM
 from repro.ml.portable import ModelRegistry
 from repro.workloads.tpcds_lite import query_by_name
+from tests.snapshot import snapshot_cv, snapshot_records
 
 NS = [1, 3, 8, 16, 32, 48]
 
@@ -93,7 +94,29 @@ class TestRuleOnFeatures:
             strategy=("magic",),
         )
         with pytest.raises(ValueError):
-            rule.select({1: 2.0})
+            rule.predict_from_features([1.0] * 19)
+
+
+@pytest.mark.parametrize("family", ["AE_PL", "AE_AL"])
+def test_rule_decides_like_the_cv(tmp_path, family):
+    """The experiments decide on a CV fold's batch predictions; the rule
+    scores one row with the same forest, registered. Both give the same
+    PPM and n̂ for every query the fold held out."""
+    fr = snapshot_cv(family)[0]
+    registry = ModelRegistry(str(tmp_path))
+    registry.register(
+        "fold",
+        fr.model,
+        feature_names=list(FEATURE_NAMES),
+        target_names=list(MODEL_FAMILIES[family][1].param_names),
+    )
+    rule = AutoExecutorRule(registry=registry, model_name="fold", family=family)
+    features = {r.name: r.features for r in snapshot_records()}
+    for q in fr.test_queries:
+        live = rule.predict_from_features(features[q], query_name=q)
+        batch = decide(fr.predicted[q], query=q)
+        assert live.ppm == batch.ppm, q
+        assert live.n_selected == batch.n_selected, q
 
 
 class TestRuleOnSparkPlan:
@@ -113,7 +136,7 @@ class TestRuleOnSparkPlan:
         df = spark.sql(query_by_name("t7_ss_star_2000").sql)
         live = rule.apply(df)
         offline = rule.predict_from_features(featurize_plan(df).as_vector())
-        assert live.params == offline.params
+        assert np.array_equal(live.ppm.params(), offline.ppm.params())
         assert live.n_selected == offline.n_selected
 
     def test_model_cached_after_first_apply(self, spark, tpcds_tables, registry):

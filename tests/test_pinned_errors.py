@@ -14,7 +14,7 @@ import hashlib
 
 import pytest
 
-from repro.core.training import error_by_n, run_cross_validation, sparklens_error_by_n
+from repro.core.training import error_by_n, sparklens_error_by_n
 from repro.experiments import (
     common,
     exp_allocation,
@@ -22,7 +22,7 @@ from repro.experiments import (
     exp_scalefactor,
     exp_selection,
 )
-from tests.snapshot import snapshot_records, snapshot_skeletons
+from tests.snapshot import snapshot_cv, snapshot_records, snapshot_skeletons
 
 #: sha256 over each table's keys and exact (hex) float values
 PINNED_SHA256 = {
@@ -68,15 +68,10 @@ def dataset(sf: float) -> common.Dataset:
 
 
 @functools.cache
-def folds(family: str) -> list:
-    return run_cross_validation(dataset(0.1).records, family=family, repeats=1)
-
-
-@functools.cache
 def cv_dataset() -> common.Dataset:
     """The snapshot, with the one-repeat CVs of both families as its CV."""
     ds = dataset(0.1)
-    cvs = {family: folds(family) for family in ("AE_PL", "AE_AL")}
+    cvs = {family: snapshot_cv(family) for family in ("AE_PL", "AE_AL")}
     return common.Dataset(sf=ds.sf, records=ds.records, skeletons=ds.skeletons, folds=cvs)
 
 
@@ -96,7 +91,7 @@ def table(case: str) -> dict:
     if case == "summarize(compare_policies)":
         return exp_allocation.summarize(comparisons())
     if case == "n_hat by query":
-        return {c.query: c.n_pred for c in comparisons()}
+        return {c.query: c.prediction.n_selected for c in comparisons()}
     if case.startswith("cross_sf_errors"):
         big, small = dataset(0.1), dataset(0.01)
         train, test = (big, small) if case.endswith("to sf0.01") else (small, big)
@@ -107,7 +102,7 @@ def table(case: str) -> dict:
     if case == "sparklens_error_by_n":
         return sparklens_error_by_n(records)
     _, family, split = case.split()
-    return error_by_n(records, folds(family), on_train=split == "train")
+    return error_by_n(records, snapshot_cv(family), on_train=split == "train")
 
 
 @pytest.mark.parametrize("case", list(PINNED_SHA256))
