@@ -17,6 +17,16 @@ whose feature varies inside the node are scored, and each only at its
 gaps, the positions where the sorted x changes. Every position left out
 would score as "no split" in a scan of all features at all positions,
 so the chosen split is the same as that scan's.
+
+A level is scored in rank-synchronous sweeps, with no padding. Its
+segments (nodes, or (node, feature) pairs) are sorted by size, largest
+first, and their rows gathered once in rank-major order: rank ``j`` is
+row ``j`` of every segment longer than ``j``, one contiguous slice. One
+step per rank then advances the running sums of all those segments
+together. Each sum starts from a segment's first row and adds the rest
+in order, exactly as ``np.cumsum`` does along a segment, so the sums,
+the means, the scores and hence the trees do not depend on how the
+segments are laid out or cut into sweeps.
 """
 from __future__ import annotations
 
@@ -33,10 +43,9 @@ class Tree(NamedTuple):
     value: np.ndarray  # (nodes, outputs)
 
 
-#: Pair-rows scored per step. A level's padded ``(pairs, rows, outputs)``
-#: gathers of (node, feature) pairs are built this many rows at a time (as
-#: many as 512 nodes × 20 columns), so a level never sits in memory at once.
-_CHUNK_PAIR_ROWS = 512 * 20
+#: Pair-rows gathered per sweep: a level's (node, feature) pairs are scored
+#: about this many rows at a time, so a level never sits in memory at once.
+_CHUNK_PAIR_ROWS = 1 << 14
 
 
 def grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray) -> tuple[Tree, np.ndarray]:
@@ -46,9 +55,10 @@ def grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray) -> tuple[Tree, np.nd
     is stable-sorted once per feature; a node's rows then stay one
     contiguous segment of every sort order, and a split partitions the
     segment stably in each. A level scores each (impure node, varying
-    feature) pair along that feature's segment, at its gaps only. Returns
-    the trees back to back in pre-order with tree-local child ids, and the
-    root id of each tree.
+    feature) pair along that feature's segment, at its gaps only, in
+    rank-synchronous sweeps of about :data:`_CHUNK_PAIR_ROWS` pair-rows.
+    Returns the trees back to back in pre-order with tree-local child ids,
+    and the root id of each tree.
 
     A node's mean adds its rows in sample order, as numpy's ``mean(axis=0)``
     does for two or more outputs; for one output numpy sums pairwise, so
@@ -69,7 +79,7 @@ def grow(X: np.ndarray, y: np.ndarray, samples: np.ndarray) -> tuple[Tree, np.nd
         # keep only the splitting segments, then partition each stably
         seg = np.repeat(np.arange(len(split)), m)
         first = np.cumsum(m) - m
-        order = order[:, start[split][seg] + np.arange(len(seg)) - first[seg]]
+        order = order.take(start[split][seg] + np.arange(len(seg)) - first[seg], axis=1)
         goes_right = np.zeros(len(xb), dtype=bool)
         goes_right[order[0]] = ~(xb[order[0], f[seg]] <= t[seg])
         base = 2 * first[seg]
@@ -98,36 +108,42 @@ def _split_level(xb, yb, order, start, size):
     """Best split ``(feature, threshold)`` and mean target of every node.
 
     A node whose targets are all equal, or whose rows no feature
-    separates, gets feature -1. Nodes of two or more rows are bucketed by
-    ``ceil(log2(size))``. Per bucket, the mean and the purity come from the
-    position-order rows, then each (impure node, varying feature) pair is
-    scored at its gaps; the pairs left out keep an infinite score. The
-    split is the minimum summed child SSE, ties to the first feature, as a
-    feature-by-feature scan would choose.
+    separates, gets feature -1. One sweep over the position-order rows of
+    the nodes of two or more rows gives their means and purity. Then each
+    (impure node, varying feature) pair is scored at its gaps, up to
+    :data:`_CHUNK_PAIR_ROWS` pair-rows per sweep; the pairs left out keep
+    an infinite score. The split is the minimum summed child SSE, ties to
+    the first feature, as a feature-by-feature scan would choose.
     """
     n_features = order.shape[0] - 1
     value = yb[order[0, start]]  # a one-row node's mean is its row
     sse = np.full((len(start), n_features), np.inf)
     at = np.zeros((len(start), n_features), dtype=int)
-    many = np.flatnonzero(size >= 2)
-    bucket = np.frexp(size[many] - 1)[1]  # ceil(log2(size))
+    nodes = np.flatnonzero(size >= 2)
+    nodes = nodes[np.argsort(-size[nodes], kind="stable")]
+    if len(nodes):
+        m = size[nodes]
+        active, offset, seg, rank = _rank_major(m)
+        ys = yb.take(order[0].take(start[nodes][seg] + rank), axis=0)
+        impure = np.zeros(len(nodes), dtype=bool)
+        # row s of rank 0 is segment s's first row
+        impure[seg[(ys != ys.take(seg, axis=0)).any(axis=1)]] = True
+        _prefix_sums(ys, active, offset)
+        value[nodes] = ys[offset[m - 1] + np.arange(len(nodes))] / m[:, None]
+        nodes = nodes[impure]
+    # a feature varies in a node iff its sorted segment's ends differ
     columns = np.arange(n_features)
-    for b in np.unique(bucket):
-        nodes = many[bucket == b]
-        _, ys, real = _gather(yb, order, np.zeros_like(nodes), start[nodes], size[nodes])
-        m = size[nodes, None]
-        value[nodes] = np.cumsum(ys, axis=1)[np.arange(len(nodes)), m[:, 0] - 1] / m
-        nodes = nodes[~((ys == ys[:, :1]) | ~real[:, :, None]).all(axis=(1, 2))]
-        # a feature varies in a node iff its sorted segment's ends differ
-        first = start[nodes, None]
-        last = first + size[nodes, None] - 1
-        varies = xb[order[columns + 1, first], columns] != xb[order[columns + 1, last], columns]
-        node, feature = np.nonzero(varies)
-        node = nodes[node]
-        step = max(1, _CHUNK_PAIR_ROWS >> b)
-        for c in range(0, len(node), step):
-            n, f = node[c : c + step], feature[c : c + step]
-            sse[n, f], at[n, f] = _score_pairs(xb, yb, order, start[n], size[n], f)
+    first = start[nodes, None]
+    last = first + size[nodes, None] - 1
+    varies = xb[order[columns + 1, first], columns] != xb[order[columns + 1, last], columns]
+    node, feature = np.nonzero(varies)
+    node = nodes[node]  # still largest first
+    # a sweep takes the pairs whose first pair-row falls in its budget block
+    block = (np.cumsum(size[node]) - size[node]) // _CHUNK_PAIR_ROWS
+    cuts = np.append(np.flatnonzero(np.diff(block, prepend=-1)), len(node))
+    for c, d in zip(cuts[:-1], cuts[1:]):
+        n, f = node[c:d], feature[c:d]
+        sse[n, f], at[n, f] = _score_pairs(xb, yb, order, start[n], size[n], f)
     feature, best = np.full(len(start), -1), np.full(len(start), np.inf)
     for f in range(n_features):
         better = sse[:, f] < best - 1e-12
@@ -140,45 +156,62 @@ def _split_level(xb, yb, order, start, size):
     return feature, threshold, value
 
 
-def _gather(yb, order, which, start, size):
-    """Positions ``(segments, rows)`` and targets ``(segments, rows,
-    outputs)`` of the segments ``start : start + size`` of order rows
-    ``which``, and which rows are real. Padded rows repeat a segment's
-    first position and carry zero targets, which leave every prefix sum
-    of its real rows unchanged."""
-    j = np.arange(size.max())
-    real = j < size[:, None]
-    rows = order[which[:, None], np.where(real, start[:, None] + j, start[:, None])]
-    ys = yb[rows]
-    ys[~real] = 0.0
-    return rows, ys, real
+def _rank_major(size):
+    """Rank-major layout of segments sorted by size, largest first.
+
+    Rank ``j`` holds row ``j`` of each of the first ``active[j]``
+    segments, the ones longer than ``j``, at ``offset[j] : offset[j] +
+    active[j]``. Returns ``active``, ``offset`` and the segment and rank
+    of every row of the layout."""
+    active = np.searchsorted(-size, -np.arange(size[0]))  # sizes > j
+    offset = np.cumsum(active) - active
+    rank = np.repeat(np.arange(len(active)), active)
+    return active, offset, np.arange(len(rank)) - np.repeat(offset, active), rank
+
+
+def _prefix_sums(a, active, offset):
+    """Turn the rank-major rows ``a[..., rows, :]`` into each segment's
+    prefix sums, in place: one step per rank adds a segment's previous
+    sum to its row, the order in which ``np.cumsum`` adds."""
+    for j in range(1, len(active)):
+        n = active[j]
+        a[..., offset[j] : offset[j] + n, :] += a[..., offset[j - 1] : offset[j - 1] + n, :]
 
 
 def _score_pairs(xb, yb, order, start, size, feature):
-    """Best split SSE and position of (node, feature) pairs, each node a
-    segment in which its ``feature`` takes two values at least.
+    """Best split SSE and position of (node, feature) pairs, largest first,
+    each node a segment in which its ``feature`` takes two values at least.
 
-    Prefix sums run over a pair's rows in its feature's order. The SSE is
-    evaluated only at gaps, ``x[k] != x[k + 1]``, and a pair's first
-    minimum is where ``argmin`` lands with every other position set to
-    infinity.
+    The pairs' rows are gathered once in rank-major order, and one step
+    per rank advances every longer pair's prefix sums of ``y`` and ``y²``.
+    Each sum starts from its first row and adds the rest in order, as
+    ``np.cumsum`` does. The SSE is evaluated only at gaps, ``x[k] != x[k +
+    1]``, and a pair's first minimum is where ``argmin`` would land with
+    every other position set to infinity.
     """
-    rows, ys, real = _gather(yb, order, feature + 1, start, size)
-    csum, csum2 = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
-    xs = xb[rows, feature[:, None]]
-    pair, k = np.nonzero((xs[:, :-1] != xs[:, 1:]) & real[:, 1:])
-    i, m = k + 1, size[pair]  # left sizes; split between k and k + 1
-    ls, ls2 = csum[pair, k], csum2[pair, k]
-    tot, tot2 = csum[pair, m - 1], csum2[pair, m - 1]
+    active, offset, pair, rank = _rank_major(size)
+    rows = order.ravel().take(((feature + 1) * order.shape[1] + start).take(pair) + rank)
+    xs = xb.ravel().take(feature.take(pair) + xb.shape[1] * rows.astype(np.intp))
+    sums = np.empty((2, len(rows), yb.shape[1]))  # prefix sums of y and of y²
+    yb.take(rows, axis=0, out=sums[0])
+    np.multiply(sums[0], sums[0], out=sums[1])
+    _prefix_sums(sums, active, offset)
+    # row r of rank j >= 1 follows its pair's row r - active[j - 1]
+    prev = np.arange(active[0], len(rows)) - np.repeat(active[:-1], active[1:])
+    gap = np.flatnonzero(xs[active[0] :] != xs.take(prev))
+    prev, r = prev[gap], gap + active[0]
+    p, i = pair[r], rank[r]  # i = left size; split between i - 1 and i
+    m = size[p]
+    ls, ls2 = sums.take(prev, axis=1)
+    tot, tot2 = sums.take(offset[m - 1] + p, axis=1)
     left = ls2 - ls * ls / i[:, None]
     right = (tot2 - ls2) - (tot - ls) ** 2 / (m - i)[:, None]
     sse = _sum_outputs(left) + _sum_outputs(right)
-    # every pair has a gap, so the p-th run of ``pair`` holds pair p's gaps
-    best = np.minimum.reduceat(sse, np.flatnonzero(np.diff(pair, prepend=-1)))
-    hit = np.flatnonzero(sse == best[pair])
-    hit = hit[np.diff(pair[hit], prepend=-1) != 0]
-    at = np.zeros(len(start), dtype=int)
-    at[pair[hit]] = k[hit]
+    best = np.full(len(size), np.inf)
+    np.minimum.at(best, p, sse)
+    hit = sse == best[p]
+    at = size.copy()  # above every position; every pair has a hit
+    np.minimum.at(at, p[hit], i[hit] - 1)
     return best, at
 
 

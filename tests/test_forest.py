@@ -129,15 +129,20 @@ def pinned_case(case):
     return X, y
 
 
+def nodes_sha256(forest):
+    """sha256 over every node array and the root ids of ``forest``."""
+    digest = hashlib.sha256()
+    for a in (*forest.nodes_, forest.roots_):
+        digest.update(np.ascontiguousarray(a, dtype=float if a.dtype.kind == "f" else np.int64))
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_NODES_SHA256))
 def test_pinned_forest_nodes(case):
     """The forests grow node for node as recorded: all-feature, one-output
     and masked-column (§5.7) fits on the sf=0.1 snapshot."""
     forest = RandomForestRegressor(n_estimators=100, random_state=0).fit(*pinned_case(case))
-    digest = hashlib.sha256()
-    for a in (*forest.nodes_, forest.roots_):
-        digest.update(np.ascontiguousarray(a, dtype=float if a.dtype.kind == "f" else np.int64))
-    assert digest.hexdigest() == PINNED_NODES_SHA256[case]
+    assert nodes_sha256(forest) == PINNED_NODES_SHA256[case]
 
 
 def test_forest_fit_memory_is_bounded():

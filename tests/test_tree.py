@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.ml import tree as tree_mod
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import Tree, _sum_outputs, fit_tree, predict
+from tests.test_forest import PINNED_NODES_SHA256, nodes_sha256, pinned_case
 
 
 def predict_one(tree, X):
@@ -123,6 +124,15 @@ class TestDecisionTree:
         f = RandomForestRegressor(n_estimators=10, random_state=0).fit(X, y)
         assert set(f.nodes_.feature.tolist()) == {-1, 0, 2}
 
+    def test_negative_zero_means_keep_their_sign(self):
+        # each running sum starts from its first row, as cumsum does: a sum
+        # started from +0.0 would turn every -0.0 mean into +0.0
+        X = np.array([[0.0], [1.0], [2.0]])
+        t = fit_tree(X, np.array([[-0.0, 1.0], [-0.0, 1.0], [-0.0, 2.0]]))
+        assert t.feature.tolist() == [0, -1, -1]
+        assert np.signbit(t.value[:, 0]).all()
+        assert t.value[:, 1].tolist() == [4 / 3, 1.0, 2.0]
+
     def test_node_separated_only_by_the_last_column_splits_on_it(self):
         # the root splits on column 0; in each child only column 2 varies
         X = np.array([[0.0, 5.0, 0.0], [0.0, 5.0, 1.0], [1.0, 5.0, 0.0], [1.0, 5.0, 1.0]])
@@ -215,12 +225,21 @@ class TestTreeProperties:
     @settings(max_examples=20, deadline=None)
     @given(pipeline_sets(), st.integers(0, 2**16))
     def test_forest_at_pipeline_shape_equals_reference(self, chunk, data, seed):
-        """At a fold's shape a level mixes many size buckets; a small pair-row
-        budget also splits each bucket's pairs into many chunks."""
+        """At a fold's shape a level holds pairs of many sizes; a small
+        pair-row budget also cuts them into many sweeps."""
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(tree_mod, "_CHUNK_PAIR_ROWS", chunk)
             assert_forest_equals_reference(*data, n_estimators=3, seed=seed)
+
+    @pytest.mark.parametrize("case", sorted(PINNED_NODES_SHA256))
+    def test_pinned_forest_nodes_at_small_budget(self, case):
+        """Cutting every level into sweeps of 64 pair-rows, most of them one
+        pair, grows the recorded forests bit for bit."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_mod, "_CHUNK_PAIR_ROWS", 64)
+            forest = RandomForestRegressor(n_estimators=100, random_state=0).fit(*pinned_case(case))
+        assert nodes_sha256(forest) == PINNED_NODES_SHA256[case]
 
     @settings(max_examples=30, deadline=None)
     @given(training_sets(), st.integers(0, 2**16))
