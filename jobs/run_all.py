@@ -12,7 +12,6 @@ starts only for a section that takes the session or a dataset build.
 from __future__ import annotations
 
 import importlib
-import os
 import sys
 import time
 
@@ -49,10 +48,7 @@ def get_session():
 
     return (
         SparkSession.builder.appName("repro-run-all")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

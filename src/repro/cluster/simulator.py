@@ -25,7 +25,6 @@ Faithful mechanics (§5.1, §5.4):
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from bisect import insort
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.allocation import AllocationPolicy
-from repro.cluster.taskgraph import TaskGraph
+from repro.cluster.taskgraph import TaskGraph, stable_hash
 
 
 # The pool's fixed calibration (Synapse medium nodes, §5.1)
@@ -84,9 +83,7 @@ def core_efficiency(query: str, e_c: int) -> float:
     if e_c == 4:
         return 1.0
     base = 1.0 + 0.07 * abs(e_c - 4) / 2.0
-    # deterministic per-(query, size) wiggle; hash() is salted per process,
-    # so derive it from a stable digest instead
-    h = int.from_bytes(hashlib.sha256(f"{query}|{e_c}".encode()).digest()[:4], "big") / 2**32
+    h = stable_hash(query, e_c) / 2**32  # deterministic per-(query, size) wiggle
     return base * (0.86 + 0.27 * h)
 
 

@@ -98,10 +98,11 @@ class TaskGraph:
         return self.app_startup_sec + self.stage_overhead_sec * len(self.stages)
 
 
-def _stable_unit_hash(*parts) -> float:
-    """Deterministic value in [0, 1) from the given parts (no global RNG)."""
+def stable_hash(*parts, nbytes: int = 4) -> int:
+    """Deterministic integer from the first ``nbytes`` bytes of a sha256
+    over the ``"|"``-joined parts; ``hash()`` is salted per process."""
     h = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(h[:8], "big") / 2**64
+    return int.from_bytes(h[:nbytes], "big")
 
 
 def _split_tasks(total_sec: float, n_tasks: int, *, salt: str) -> tuple[float, ...]:
@@ -113,11 +114,11 @@ def _split_tasks(total_sec: float, n_tasks: int, *, salt: str) -> tuple[float, .
     """
     n_tasks = max(1, n_tasks)
     base = total_sec / n_tasks
-    skew_seed = _stable_unit_hash(salt, "skew")
+    skew_seed = stable_hash(salt, "skew", nbytes=8) / 2**64
     out = []
     for i in range(n_tasks):
         bump = SKEW_FACTOR * skew_seed / (1 + i) ** 1.5
-        jitter = 0.85 + 0.3 * _stable_unit_hash(salt, i)
+        jitter = 0.85 + 0.3 * (stable_hash(salt, i, nbytes=8) / 2**64)
         out.append(max(MIN_TASK_SEC, base * (1 + bump) * jitter))
     return tuple(out)
 

@@ -10,7 +10,8 @@ implements the same control flow in Python at the same lifecycle point —
 operating on the **real Catalyst optimized plan** via py4j, with the
 portable-model registry standing in for ONNX + AML (§4.3–4.4).
 
-Per-step timings are recorded so §5.6's overhead table can be reproduced.
+Each decision records its own per-step wall times in
+``Prediction.timings_ms``; §5.6's live-path rows read them.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from repro.core.features import FEATURE_NAMES, featurize_plan
 from repro.core.parameter_model import TrainingExample, fit_ppm_targets
 from repro.core.selection import CANDIDATES, elbow_point, factorize_cores, limited_slowdown
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.portable import ModelRegistry, PortableModel
+from repro.ml.portable import ModelRegistry
 
 
 @dataclass
@@ -98,44 +99,32 @@ class AutoExecutorRule:
     family: str
     strategy: tuple = DEFAULT_STRATEGY
 
-    def _load(self) -> PortableModel:
-        # load-once semantics: the registry caches after the first call
-        return self.registry.get(self.model_name)
-
     def apply(self, df: DataFrame, *, query_name: str = "?") -> Prediction:
         """Run the rule on an (already optimized) DataFrame plan."""
-        timings: dict[str, float] = {}
-
-        t0 = time.perf_counter()
-        model = self._load()
-        timings["model_load_ms"] = (time.perf_counter() - t0) * 1e3
-
         t0 = time.perf_counter()
         vector = featurize_plan(df).as_vector()
-        timings["featurize_ms"] = (time.perf_counter() - t0) * 1e3
-
-        return self._decide(model, vector, query_name, timings)
+        return self._decide(vector, query_name, featurize_ms=(time.perf_counter() - t0) * 1e3)
 
     def predict_from_features(self, vector, *, query_name: str = "?") -> Prediction:
         """Rule body for pre-extracted features (simulation-side path)."""
-        return self._decide(self._load(), list(vector), query_name, {})
+        return self._decide(list(vector), query_name)
 
-    def _decide(
-        self,
-        model: PortableModel,
-        vector: list[float],
-        query_name: str,
-        timings: dict[str, float],
-    ) -> Prediction:
-        """Predict the PPM's parameters, then :func:`decide` on the PPM."""
+    def _decide(self, vector: list[float], query_name: str, **timings_ms: float) -> Prediction:
+        """Get the model, predict the PPM's parameters, then :func:`decide`
+        on the PPM; each step's wall time goes into ``timings_ms`` (§5.6)."""
         t0 = time.perf_counter()
+        model = self.registry.get(self.model_name)  # load-once: cached after the first call
+        t1 = time.perf_counter()
         params = model.predict(vector)[0]
-        timings["inference_ms"] = (time.perf_counter() - t0) * 1e3
-
-        t0 = time.perf_counter()
+        t2 = time.perf_counter()
         pred = decide(ppm_mod.from_params(self.family, params), self.strategy, query=query_name)
-        timings["selection_ms"] = (time.perf_counter() - t0) * 1e3
-        pred.timings_ms = timings
+        t3 = time.perf_counter()
+        pred.timings_ms = {
+            **timings_ms,
+            "model_load_ms": (t1 - t0) * 1e3,
+            "inference_ms": (t2 - t1) * 1e3,
+            "selection_ms": (t3 - t2) * 1e3,
+        }
         return pred
 
 

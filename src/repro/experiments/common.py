@@ -34,7 +34,7 @@ from repro.core.training import N_GRID, FoldResult, QueryRecord, run_cross_valid
 from repro.cluster.allocation import StaticAllocation
 from repro.cluster.simulator import simulate
 from repro.cluster.sparklens import analyze
-from repro.cluster.taskgraph import TaskGraph, build_task_graph
+from repro.cluster.taskgraph import TaskGraph, build_task_graph, stable_hash as stable_seed
 from repro.workloads import tpcds_lite
 from repro.workloads.tpcds_lite import QUERIES, materialize
 
@@ -45,11 +45,6 @@ DEFAULT_CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
 SF_MAP = {10: 0.01, 100: 0.1}
 
 RUNS_PER_N = 5
-
-
-def stable_seed(*parts) -> int:
-    h = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(h[:4], "big")
 
 
 def iqr_mean(values) -> float:

@@ -1,20 +1,24 @@
 """Experiment: training and scoring overheads (§5.6).
 
-Measures the reproduction's analogues of every number in §5.6:
+Measures the reproduction's analogues of every number in §5.6. The
+offline rows are the median of 5 timings each (:func:`_median_ms`):
 
-- per-point PPM parameter-fit time, the median of 5 passes over every
-  query (paper ~0.3 ms),
-- Random-Forest training time over all 103 queries, the median of 5
-  fits of the forest alone, on PPM-parameter targets fitted beforehand
-  (paper ~79 ms with sklearn's C implementation; ours is numpy, in one
-  process),
-- parameter-model scoring time (paper ~3.6 ms),
-- portable-model save size, one-time load/setup time (the median of 5
-  cold loads), and per-query inference time (paper: ~1 MB ONNX,
-  ~88/47 ms, ~0.9 ms),
-- plan featurization time inside the optimizer (paper ~10.3 ms), the
-  median of 5 timings per plan, and the only number that needs a
-  SparkSession: :func:`featurization_ms`.
+- per-point PPM parameter-fit time, a pass over every query (paper
+  ~0.3 ms),
+- Random-Forest training time over all 103 queries, a fit of the forest
+  alone on PPM-parameter targets fitted beforehand (paper ~79 ms with
+  sklearn's C implementation; ours is numpy, in one process),
+- parameter-model scoring time (paper ~3.6 ms).
+
+The live-path rows are the rule's own ``Prediction.timings_ms``, read
+off an :class:`AutoExecutorRule` on the registered model:
+
+- portable-model save size, one-time load (the median over 5 fresh
+  registries), the cached get and per-query inference (medians over the
+  103 queries) (paper: ~1 MB ONNX, ~88/47 ms, ~0.9 ms),
+- plan featurization inside the optimizer (paper ~10.3 ms), the median
+  of 5 applies per plan, and the only number that needs a SparkSession:
+  :func:`featurization_ms`.
 """
 from __future__ import annotations
 
@@ -24,8 +28,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core import ppm as ppm_mod
-from repro.core.autoexecutor import train_and_register
-from repro.core.features import featurize_plan
+from repro.core.autoexecutor import AutoExecutorRule, train_and_register
 from repro.core.parameter_model import fit_ppm, fit_ppm_targets
 from repro.experiments.common import Dataset
 from repro.ml.forest import RandomForestRegressor
@@ -42,94 +45,75 @@ class Overheads:
     load_ms: float
     cached_get_ms: float
     inference_ms: float
+    #: the rule the live-path rows were read from; its registry holds the
+    #: model in memory, so :func:`featurization_ms` can run it too
+    rule: AutoExecutorRule
+
+
+def _median_ms(fn) -> float:
+    """Median wall time of 5 calls of ``fn``: one sample swings up to 2x
+    with the host's load."""
+    runs = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        fn()
+        runs.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(runs)
 
 
 def measure(ds: Dataset) -> Overheads:
     records = ds.records
     examples = [r.to_example() for r in records]
-
-    fits = []  # one pass takes a few ms, so one sample swings with the host's load
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for ex in examples:
-            fit_ppm("AE_PL", ex.times)
-        fits.append((time.perf_counter() - t0) / len(examples) * 1e3)
-    fit_ms = statistics.median(fits)
-
-    X, y = [ex.features for ex in examples], fit_ppm_targets("AE_PL", examples)
-    train = []  # one cold fit swings up to 2x with the host's load
-    for _ in range(5):
-        t0 = time.perf_counter()
-        forest = RandomForestRegressor(random_state=0).fit(X, y)
-        train.append((time.perf_counter() - t0) * 1e3)
-    train_ms = statistics.median(train)
-
     feats = records[0].features
-    ppm_mod.from_params("AE_PL", forest.predict([feats])[0])  # warm
-    t0 = time.perf_counter()
-    for _ in range(20):
-        ppm_mod.from_params("AE_PL", forest.predict([feats])[0])
-    score_ms = (time.perf_counter() - t0) / 20 * 1e3
+    fit_ms = _median_ms(lambda: [fit_ppm("AE_PL", ex.times) for ex in examples]) / len(examples)
+    X, y = [ex.features for ex in examples], fit_ppm_targets("AE_PL", examples)
+    train_ms = _median_ms(lambda: RandomForestRegressor(random_state=0).fit(X, y))
 
     with tempfile.TemporaryDirectory() as tmp:
-        # the same random_state=0 forest as the timed fits, so the same bytes
         size = train_and_register(ModelRegistry(tmp), "m", "AE_PL", examples)
-        loads = []  # each from a fresh registry, so every get is cold
-        for _ in range(5):
-            reg = ModelRegistry(tmp)
-            t0 = time.perf_counter()
-            pm = reg.get("m")
-            loads.append((time.perf_counter() - t0) * 1e3)
-        load_ms = statistics.median(loads)
-        t0 = time.perf_counter()
-        for _ in range(50):
-            reg.get("m")
-        cached_ms = (time.perf_counter() - t0) / 50 * 1e3
-        pm.predict(feats)  # warm
-        t0 = time.perf_counter()
-        for _ in range(20):
-            pm.predict(feats)
-        infer_ms = (time.perf_counter() - t0) / 20 * 1e3
+        # each rule on a fresh registry, so its first decision loads cold
+        rules = [AutoExecutorRule(ModelRegistry(tmp), "m", "AE_PL") for _ in range(5)]
+        cold = [rule.predict_from_features(feats) for rule in rules]
+    rule = rules[-1]
+    warm = [rule.predict_from_features(r.features).timings_ms for r in records]
+    forest = rule.registry.get("m").forest
+    score_ms = _median_ms(lambda: ppm_mod.from_params("AE_PL", forest.predict([feats])[0]))
 
     return Overheads(
         ppm_fit_ms_per_point=fit_ms,
         rf_train_ms=train_ms,
         score_ms=score_ms,
         model_size_mb=size / 1e6,
-        load_ms=load_ms,
-        cached_get_ms=cached_ms,
-        inference_ms=infer_ms,
+        load_ms=statistics.median(p.timings_ms["model_load_ms"] for p in cold),
+        cached_get_ms=statistics.median(t["model_load_ms"] for t in warm),
+        inference_ms=statistics.median(t["inference_ms"] for t in warm),
+        rule=rule,
     )
 
 
-def featurization_ms(spark) -> list[float]:
-    """Time of ``featurize_plan`` (the plan walk and the Table-2 features)
-    on every query's optimized plan, the median of 5 timings per plan.
+def featurization_ms(spark, rule: AutoExecutorRule) -> list[float]:
+    """The rule's ``featurize_ms`` (the plan walk and the Table-2 features)
+    on every query's optimized plan, the median of 5 applies per plan.
 
     The tables are a temporary sf=0.005 copy, since a cached dataset
     registers none. Every query is analysed and optimized before the
-    timer starts, so only the featurization is timed, as in the paper.
+    first apply, so only the featurization is timed, as in the paper.
     """
     with tempfile.TemporaryDirectory() as root:
         materialize(spark, sf=0.005, root=root)
         dfs = [spark.sql(q.sql) for q in QUERIES]
         for df in dfs:
             df._jdf.queryExecution().optimizedPlan()
-        featurize_plan(dfs[0])  # warm
-        ms = []
-        for df in dfs:
-            runs = []  # one timing swings with the host's load, as the RF fit does
-            for _ in range(5):
-                t0 = time.perf_counter()
-                featurize_plan(df)
-                runs.append((time.perf_counter() - t0) * 1e3)
-            ms.append(statistics.median(runs))
-    return ms
+        rule.apply(dfs[0])  # warm
+        return [
+            statistics.median(rule.apply(df).timings_ms["featurize_ms"] for _ in range(5))
+            for df in dfs
+        ]
 
 
 def format_report(ds: Dataset, spark) -> str:
     o = measure(ds)
-    feat = featurization_ms(spark)
+    feat = featurization_ms(spark, o.rule)
     return "\n".join(
         [
             "== §5.6 overheads (ours vs paper) ==",

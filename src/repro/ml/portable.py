@@ -115,10 +115,3 @@ class ModelRegistry:
         if name not in self._cache:
             self._cache[name] = load_model(self._path(name))
         return self._cache[name]
-
-    def names(self) -> list[str]:
-        return sorted(
-            f[: -len(".repromodel")]
-            for f in os.listdir(self.root)
-            if f.endswith(".repromodel")
-        )

@@ -91,13 +91,6 @@ class TestModelRegistry:
         reg.register("m", f, feature_names=list("abcd"), target_names=["s", "p"])
         assert reg.get("m") is not first
 
-    def test_names_listing(self, fitted_forest, tmp_path):
-        f, _ = fitted_forest
-        reg = ModelRegistry(str(tmp_path))
-        for name in ("b", "a"):
-            reg.register(name, f, feature_names=list("abcd"), target_names=["t"])
-        assert reg.names() == ["a", "b"]
-
     def test_missing_model_raises(self, tmp_path):
         reg = ModelRegistry(str(tmp_path))
         with pytest.raises(FileNotFoundError):
