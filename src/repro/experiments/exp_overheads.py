@@ -124,7 +124,7 @@ def format_report(ds: Dataset, spark) -> str:
             f"model load (cold):         {o.load_ms:7.1f} ms   (paper ~88+47 ms)",
             f"model get (cached):        {o.cached_get_ms:7.3f} ms   (load-once cache)",
             f"inference per query:       {o.inference_ms:7.2f} ms   (paper ~0.9 ms)",
-            f"plan featurization:        {sum(feat) / len(feat):7.1f} ms   (paper ~10.3 ms)"
-            f"   max {max(feat):.1f} ms over {len(feat)} queries",
+            f"plan featurization:        {sum(feat) / len(feat):7.2f} ms   (paper ~10.3 ms)"
+            f"   max {max(feat):.2f} ms over {len(feat)} queries",
         ]
     )

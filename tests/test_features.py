@@ -10,12 +10,36 @@ from repro.core.features import (
     featurize_plan,
     plan_features,
 )
-from repro.workloads.tpcds_lite import query_by_name
+from repro.workloads.tpcds_lite import QUERIES, query_by_name
 from tests.snapshot import snapshot_records, snapshot_skeletons
+
+#: The ad-hoc SQL of this file, besides the TPC-DS-lite queries.
+ADHOC_SQL = (
+    "SELECT COUNT(*) AS c FROM item",
+    "SELECT COUNT(*) AS c FROM store_sales, item WHERE ss_item_sk = i_item_sk",
+    "SELECT COUNT(*) AS c FROM promotion",
+    "SELECT COUNT(*) AS c FROM store_sales",
+)
 
 
 def featurize_sql(spark, sql):
     return featurize_plan(spark.sql(sql))
+
+
+def walk_from_python(node) -> PlanNode:
+    """Reference skeleton: a py4j walk from Python, about 9 calls per node.
+
+    py4j maps scala BigInt to a Java object on some call paths and to a
+    Python int on others, so the size accepts both.
+    """
+    size = node.stats().sizeInBytes()
+    children = node.children()
+    return PlanNode(
+        name=str(node.nodeName()),
+        size_bytes=size if isinstance(size, int) else int(size.toString()),
+        width=int(node.output().size()),
+        children=[walk_from_python(children.apply(i)) for i in range(children.size())],
+    )
 
 
 class TestFeatureSchema:
@@ -86,8 +110,18 @@ class TestFeaturization:
     def test_compile_time_only(self, spark, tpcds_tables):
         """Featurization must not execute the query (no runtime stats)."""
         df = spark.sql("SELECT COUNT(*) AS c FROM store_sales")
-        featurize_plan(df)  # would be slow/visible if it ran the query
-        # no assertion beyond not raising: the plan-only path is the API
+        tracker = spark.sparkContext.statusTracker()
+        listener_bus = spark.sparkContext._jsc.sc().listenerBus()
+
+        def job_ids():
+            listener_bus.waitUntilEmpty()  # jobs reach the tracker asynchronously
+            return sorted(tracker.getJobIdsForGroup())
+
+        before = job_ids()
+        featurize_plan(df)
+        assert job_ids() == before
+        df.collect()
+        assert job_ids() != before  # the tracker does see a job that runs
 
 
 class TestSkeleton:
@@ -103,6 +137,40 @@ class TestSkeleton:
         sk = extract_skeleton(spark.sql("SELECT COUNT(*) AS c FROM item"))
         leaves = [n for n in sk.walk() if not n.children]
         assert all(l.size_bytes > 0 for l in leaves)
+
+    def test_equals_walk_from_python(self, spark, tpcds_tables):
+        """Node for node (name, size, width, children) on every query."""
+        sqls = [q.sql for q in QUERIES] + list(ADHOC_SQL)
+        for sql in sqls:
+            df = spark.sql(sql)
+            reference = walk_from_python(df._jdf.queryExecution().optimizedPlan())
+            assert extract_skeleton(df) == reference, sql
+
+    def test_call_count_independent_of_plan_size(self, spark, tpcds_tables, monkeypatch):
+        """A fixed number of py4j calls per plan, not a per-node walk."""
+        client = spark.sparkContext._gateway._gateway_client
+        send = client.send_command
+        calls = []
+
+        def counting(command, *args, **kwargs):
+            # memory ("m") commands arrive whenever Python collects a proxy
+            if command.startswith("c\n"):
+                calls.append(command)
+            return send(command, *args, **kwargs)
+
+        frames = [spark.sql(q.sql) for q in QUERIES]
+        sizes = [sum(1 for _ in extract_skeleton(df).walk()) for df in frames]
+
+        def calls_for(df):
+            calls.clear()
+            extract_skeleton(df)
+            return len(calls)
+
+        monkeypatch.setattr(client, "send_command", counting)
+        smallest, largest = (calls_for(frames[sizes.index(n)]) for n in (min(sizes), max(sizes)))
+        monkeypatch.undo()
+        assert max(sizes) > 4 * min(sizes)
+        assert smallest == largest <= 12, (smallest, largest)
 
     def test_walk_covers_all_nodes(self):
         tree = PlanNode("A", 1, 1, [PlanNode("B", 1, 1, []), PlanNode("C", 1, 1, [])])
