@@ -2,12 +2,13 @@
 
 The *real* Catalyst optimized logical plan of a Spark SQL query
 (``df._jdf.queryExecution().optimizedPlan()``) is copied into a
-pure-Python :class:`PlanNode` skeleton by four passes that run inside
-the JVM: ``plan.map(f).mkString(sep)`` applies one ``scala.Function1``
-per skeleton field (node name, ``stats().sizeInBytes``, output width,
-child count) to every node in pre-order, and Python rebuilds the tree
-from the four lists. That is 10 py4j calls per plan whatever its size;
-a per-node walk from Python makes about 9 per node. Everything
+pure-Python :class:`PlanNode` skeleton by one ``scala.Function1`` that
+runs inside the JVM. It is a single composed JDK method handle: from the
+Dataset it reaches the optimized plan, maps every node in pre-order to
+its skeleton fields (node name, ``stats().sizeInBytes``, output width,
+child count) and joins them into one string, which Python splits to
+rebuild the tree. That is one py4j call per plan whatever its size; a
+per-node walk from Python makes about 9 per node. Everything
 downstream is JVM-free: :func:`plan_features` derives the paper's
 feature vector from the skeleton, and the cluster simulator builds its
 task graph from it. Training (dataset build) and the live rule
@@ -29,7 +30,6 @@ with the same features as at training time (§3.4).
 """
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -100,64 +100,123 @@ class PlanNode:
         return 1 + max((c.height() for c in self.children), default=0)
 
 
-#: Separates the nodes' values in one field's string; no node name,
-#: integer or ``BigInt`` contains it.
-_SEP = ","
+#: Separate a node's fields and the nodes of a plan in the string that
+#: :func:`extract_skeleton` reads; no node name, integer or ``BigInt``
+#: contains either.
+_FIELD_SEP = ","
+_NODE_SEP = ";"
+
+#: The plan function of each py4j gateway (PySpark starts one per
+#: process), built on the first plan it sees.
+_plan_functions: dict = {}
 
 
-@functools.lru_cache(maxsize=1)
-def _field_functions(jvm) -> tuple:
-    """``scala.Function1`` objects for the skeleton fields of a plan node:
-    name, ``stats().sizeInBytes``, output width and child count.
+def _plan_function(gateway, dataset_class):
+    """``scala.Function1`` from a Dataset to its optimized plan's skeleton
+    string: each node as ``name,sizeInBytes,output width,child count``, the
+    nodes joined by :data:`_NODE_SEP` in pre-order.
 
-    They are JDK method handles behind a ``Function1`` proxy, so no Scala
-    is compiled; they are built once per py4j gateway.
+    It is one composed JDK method handle behind a ``Function1`` proxy, so
+    no Scala is compiled. py4j cannot pass Java varargs, so every varargs
+    parameter gets an array made with ``gateway.new_array``.
     """
+    jvm = gateway.jvm
     handles = jvm.java.lang.invoke.MethodHandles
     lookup = handles.publicLookup()
-    method_type = jvm.java.lang.invoke.MethodType.methodType
     cls = jvm.java.lang.Class.forName
-    seq = cls("scala.collection.immutable.Seq")
-    length = lookup.findVirtual(seq, "length", method_type(jvm.java.lang.Integer.TYPE))
 
-    def method(catalyst_class: str, name: str, result):
-        receiver = cls(f"org.apache.spark.sql.catalyst.{catalyst_class}")
-        return lookup.findVirtual(receiver, name, method_type(result))
+    def array(element_class, *items):
+        a = gateway.new_array(element_class, len(items))
+        for i, item in enumerate(items):
+            a[i] = item
+        return a
 
-    statistics = cls("org.apache.spark.sql.catalyst.plans.logical.Statistics")
-    fields = (
-        method("trees.TreeNode", "nodeName", cls("java.lang.String")),
-        handles.filterReturnValue(
-            method("plans.logical.LogicalPlan", "stats", statistics),
-            method("plans.logical.Statistics", "sizeInBytes", cls("scala.math.BigInt")),
-        ),
-        handles.filterReturnValue(method("plans.QueryPlan", "output", seq), length),
-        handles.filterReturnValue(method("trees.TreeNode", "children", seq), length),
+    def method_type(result, *params):
+        return jvm.java.lang.invoke.MethodType.methodType(result, array(jvm.java.lang.Class, *params))
+
+    def method(receiver, name, result, *params):
+        return lookup.findVirtual(receiver, name, method_type(result, *params))
+
+    def catalyst(name: str):
+        return cls(f"org.apache.spark.sql.catalyst.{name}")
+
+    chain = handles.filterReturnValue
+    string, seq = cls("java.lang.String"), cls("scala.collection.immutable.Seq")
+    plan, tree_node = catalyst("plans.logical.LogicalPlan"), catalyst("trees.TreeNode")
+    statistics, big_int = catalyst("plans.logical.Statistics"), cls("scala.math.BigInt")
+    int_type = jvm.java.lang.Integer.TYPE
+    length_string = chain(
+        method(seq, "length", int_type),
+        lookup.findStatic(string, "valueOf", method_type(string, int_type)),
     )
+    fields = array(
+        jvm.java.lang.invoke.MethodHandle,
+        method(tree_node, "nodeName", string),
+        chain(
+            chain(method(plan, "stats", statistics), method(statistics, "sizeInBytes", big_int)),
+            method(big_int, "toString", string),
+        ),
+        chain(method(catalyst("plans.QueryPlan"), "output", seq), length_string),
+        chain(method(tree_node, "children", seq), length_string),
+    )
+    # node -> String.join(_FIELD_SEP, field_0(node), ..., field_3(node))
+    char_sequences = cls("[Ljava.lang.CharSequence;")
+    join = lookup.findStatic(
+        string, "join", method_type(string, cls("java.lang.CharSequence"), char_sequences)
+    )
+    join = handles.insertArguments(join, 0, array(jvm.java.lang.Object, _FIELD_SEP))
+    join = join.asCollector(char_sequences, 4).asType(method_type(string, *[string] * 4))
+    node = handles.filterArguments(join, 0, fields).asType(method_type(string, *[plan] * 4))
+    # the four fields all read the one node: a new int[4] is {0, 0, 0, 0}
+    node = handles.permuteArguments(node, method_type(string, plan), gateway.new_array(jvm.int, 4))
+
     function1 = cls("scala.Function1")
     proxy = jvm.java.lang.invoke.MethodHandleProxies.asInterfaceInstance
-    return tuple(proxy(function1, mh) for mh in fields)
+    each_node = handles.insertArguments(
+        method(tree_node, "map", seq, function1), 1, array(jvm.java.lang.Object, proxy(function1, node))
+    ).asType(method_type(seq, plan))
+    joined = handles.insertArguments(
+        method(seq, "mkString", string, string), 1, array(jvm.java.lang.Object, _NODE_SEP)
+    )
+    query_execution = cls("org.apache.spark.sql.execution.QueryExecution")
+    optimized_plan = chain(
+        method(dataset_class, "queryExecution", query_execution),
+        method(query_execution, "optimizedPlan", plan),
+    )
+    return proxy(function1, chain(chain(optimized_plan, each_node), joined))
+
+
+def decode_skeleton(fused: str) -> PlanNode:
+    """Rebuild the :class:`PlanNode` tree from a plan function's string.
+
+    The nodes come in pre-order, so the child counts rebuild the tree.
+    A record without exactly four fields, or a count that does not match
+    the number of records, raises ``ValueError``.
+    """
+    records = iter(fused.split(_NODE_SEP))
+
+    def build() -> PlanNode:
+        name, size_bytes, width, n_children = next(records, "").split(_FIELD_SEP)
+        return PlanNode(
+            name, int(size_bytes), int(width), [build() for _ in range(int(n_children))]
+        )
+
+    root = build()
+    if next(records, None) is not None:
+        raise ValueError("plan string has records after its tree ends")
+    return root
 
 
 def extract_skeleton(df: DataFrame) -> PlanNode:
     """Pure-Python skeleton of the optimized logical plan of ``df``.
 
-    ``TreeNode.map`` visits the nodes in pre-order, so the child counts
-    rebuild the tree from the four field lists. ``BigInt.toString`` is
-    exact, so sizes are not rounded.
+    One py4j call: the gateway's plan function maps ``df``'s Java Dataset
+    to one string. ``BigInt.toString`` is exact, so sizes are not rounded.
     """
-    plan = df._jdf.queryExecution().optimizedPlan()
-    names, sizes, widths, counts = (
-        plan.map(f).mkString(_SEP).split(_SEP)
-        for f in _field_functions(df.sparkSession._jvm)
-    )
-    nodes = zip(names, map(int, sizes), map(int, widths), map(int, counts), strict=True)
-
-    def build() -> PlanNode:
-        name, size_bytes, width, n_children = next(nodes)
-        return PlanNode(name, size_bytes, width, [build() for _ in range(n_children)])
-
-    return build()
+    jdf, gateway = df._jdf, df.sparkSession._sc._gateway
+    if gateway not in _plan_functions:
+        _plan_functions[gateway] = _plan_function(gateway, jdf.getClass())
+    return decode_skeleton(_plan_functions[gateway].apply(jdf))
 
 
 def plan_features(root: PlanNode) -> PlanFeatures:

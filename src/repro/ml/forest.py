@@ -47,10 +47,9 @@ class RandomForestRegressor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         leaves = tree_mod.predict(self.nodes_, self.roots_, X)
-        acc = np.zeros((leaves.shape[0], leaves.shape[2]))
-        for t in range(leaves.shape[1]):  # summed in tree order
-            acc += leaves[:, t]
-        out = acc / leaves.shape[1]
+        # cumsum adds the trees in order (a sum may add pairwise); + 0.0 maps
+        # an all -0.0 total to 0.0, as adding to a zero accumulator does.
+        out = (np.cumsum(leaves, axis=1)[:, -1] + 0.0) / leaves.shape[1]
         return out[:, 0] if out.shape[1] == 1 else out
 
     def to_dict(self) -> dict:

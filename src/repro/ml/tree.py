@@ -152,7 +152,10 @@ def _split_level(xb, yb, order, start, size):
     split = np.flatnonzero(feature >= 0)
     f = feature[split]
     k = start[split] + at[split, f]
-    threshold[split] = (xb[order[f + 1, k], f] + xb[order[f + 1, k + 1], f]) / 2.0
+    a, b = xb[order[f + 1, k], f], xb[order[f + 1, k + 1], f]
+    mid = a / 2.0 + b / 2.0  # a + b may overflow
+    # a midpoint that rounds onto b would not separate a from b
+    threshold[split] = np.where(mid < b, mid, a)
     return feature, threshold, value
 
 

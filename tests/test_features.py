@@ -1,4 +1,5 @@
 """Tests for the Table-2 featurizer over real Catalyst plans and skeletons."""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,6 +7,7 @@ from repro.core.features import (
     FEATURE_NAMES,
     OPERATOR_VOCABULARY,
     PlanNode,
+    decode_skeleton,
     extract_skeleton,
     featurize_plan,
     plan_features,
@@ -170,7 +172,41 @@ class TestSkeleton:
         smallest, largest = (calls_for(frames[sizes.index(n)]) for n in (min(sizes), max(sizes)))
         monkeypatch.undo()
         assert max(sizes) > 4 * min(sizes)
-        assert smallest == largest <= 12, (smallest, largest)
+        assert smallest == largest == 1, (smallest, largest)
+
+    def test_decode_nested(self):
+        fused = (
+            "Aggregate,100,2,1;Join,90,3,2;Filter,7,2,1;LogicalRelation,10,4,0;"
+            "LogicalRelation,12,1,0"
+        )
+        relation = PlanNode("LogicalRelation", 10, 4, [])
+        assert decode_skeleton(fused) == PlanNode("Aggregate", 100, 2, [
+            PlanNode("Join", 90, 3, [
+                PlanNode("Filter", 7, 2, [relation]),
+                PlanNode("LogicalRelation", 12, 1, []),
+            ]),
+        ])
+
+    def test_decode_leaf(self):
+        assert decode_skeleton("LogicalRelation,42,6,0") == PlanNode("LogicalRelation", 42, 6, [])
+
+    def test_decode_size_beyond_int64(self):
+        """``BigInt`` sizes are unbounded; Python ints keep them exact."""
+        size = 2**64 + 5
+        root = decode_skeleton(f"Join,{size},3,2;LogicalRelation,1,1,0;LogicalRelation,2,2,0")
+        assert root.size_bytes == size
+        assert [c.size_bytes for c in root.children] == [1, 2]
+
+    @pytest.mark.parametrize("fused", [
+        "Project,1,2;LogicalRelation,3,4,0",  # a record with three fields
+        "Project,1,2,1,0;LogicalRelation,3,4,0",  # a record with five fields
+        "Project,1,2,2;LogicalRelation,3,4,0",  # fewer records than counted
+        "LogicalRelation,3,4,0;LogicalRelation,3,4,0",  # records after the tree
+        "",
+    ])
+    def test_decode_malformed_raises(self, fused):
+        with pytest.raises(ValueError):
+            decode_skeleton(fused)
 
     def test_walk_covers_all_nodes(self):
         tree = PlanNode("A", 1, 1, [PlanNode("B", 1, 1, []), PlanNode("C", 1, 1, [])])

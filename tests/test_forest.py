@@ -4,9 +4,51 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.ml import tree as tree_mod
 from repro.ml.forest import RandomForestRegressor
 from tests.snapshot import snapshot_records
+
+
+def tree_order_mean(forest, X):
+    """Mean of the trees' leaf values, added one tree at a time from 0.0."""
+    leaves = tree_mod.predict(forest.nodes_, forest.roots_, X)
+    rows, trees, outputs = leaves.shape
+    out = np.empty((rows, outputs))
+    for r in range(rows):
+        for o in range(outputs):
+            acc = 0.0
+            for t in range(trees):
+                acc += float(leaves[r, t, o])
+            out[r, o] = acc / trees
+    return out[:, 0] if outputs == 1 else out
+
+
+@st.composite
+def forest_data(draw):
+    rows = draw(st.integers(2, 30))
+    outputs = draw(st.sampled_from([1, 2, 3]))
+    X = draw(arrays(np.float64, (rows, 3), elements=st.floats(-1e3, 1e3)))
+    y = draw(arrays(np.float64, (rows, outputs), elements=st.floats(-1e6, 1e6)))
+    return X, y[:, 0] if outputs == 1 else y, draw(st.integers(8, 40)), draw(st.integers(0, 99))
+
+
+@given(data=forest_data())
+@example(data=(np.arange(12.0).reshape(4, 3), np.full(4, -0.0), 10, 0))
+@settings(max_examples=60, deadline=None)
+def test_predict_sums_trees_in_order(data):
+    """Predictions equal a tree-order sum bit for bit, in batch and one row
+    at a time; with one output a pairwise sum would differ. The explicit
+    example's leaves are all -0.0, which a sum from 0.0 turns into 0.0."""
+    X, y, n_estimators, seed = data
+    forest = RandomForestRegressor(n_estimators=n_estimators, random_state=seed).fit(X, y)
+    expected = tree_order_mean(forest, X)
+    assert forest.predict(X).tobytes() == expected.tobytes()
+    for row, want in zip(X, expected):
+        assert forest.predict(row[None, :])[0].tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -109,6 +109,13 @@ class TestDecisionTree:
         with pytest.raises(RuntimeError):
             predict(None, np.array([0]), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("pair", [(-5e-324, 0.0), (1e308, 1.7e308), (-1.7e308, -1e308)])
+    def test_splits_where_the_midpoint_fails(self, pair):
+        # (a + b) / 2 of these values rounds onto b or overflows
+        X = np.array(pair)[:, None]
+        t = fit_tree(X, np.array([1.0, 2.0]))
+        assert predict_one(t, X).ravel().tolist() == [1.0, 2.0]
+
     def test_identical_rows_make_one_leaf_of_their_mean(self):
         # impure, but no feature varies: there is no pair to score
         X = np.tile([[1.0, 2.0, 3.0]], (3, 1))
