@@ -50,6 +50,8 @@ os.environ.setdefault(
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
+from repro.workloads.tpcds_lite import session_builder  # noqa: E402
+
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
@@ -57,18 +59,13 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    (shuffle partitions, Arrow, broadcast threshold) come from
+    :func:`repro.workloads.tpcds_lite.session_builder`, as in the jobs.
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.shuffle.partitions", 64)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = session_builder().appName("repro").getOrCreate()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -42,17 +42,11 @@ def select(argv: list[str]) -> list[str]:
 
 
 def get_session():
-    """The SparkSession of the test fixture: shuffle partitions, Arrow,
-    broadcast joins disabled, so jobs and tests compile identical plans."""
-    from pyspark.sql import SparkSession
+    """The SparkSession of the test fixture, built with the same
+    plan-shaping settings, so jobs and tests compile identical plans."""
+    from repro.workloads.tpcds_lite import session_builder
 
-    return (
-        SparkSession.builder.appName("repro-run-all")
-        .config("spark.sql.shuffle.partitions", 64)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return session_builder().appName("repro-run-all").getOrCreate()
 
 
 def main(argv: list[str]) -> None:

@@ -81,6 +81,14 @@ def train_and_register(
     forest = RandomForestRegressor(random_state=random_state).fit(
         [ex.features for ex in examples], fit_ppm_targets(family, examples)
     )
+    return register_forest(registry, name, family, forest)
+
+
+def register_forest(
+    registry: ModelRegistry, name: str, family: str, forest: RandomForestRegressor
+) -> int:
+    """Export a parameter model of ``family`` to the registry (§4.3);
+    returns its serialized size in bytes."""
     return registry.register(
         name,
         forest,

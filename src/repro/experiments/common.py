@@ -46,6 +46,9 @@ SF_MAP = {10: 0.01, 100: 0.1}
 
 RUNS_PER_N = 5
 
+#: our TPC-DS q94 analogue, a 5-way star join: the example of Fig 1, 8 and 12
+Q94_ANALOGUE = "t7_ss_star_2000"
+
 
 def iqr_mean(values) -> float:
     """Mean after discarding points outside ±1.5×IQR (§5.1)."""
@@ -131,8 +134,8 @@ def dataset_from_skeletons(sf: float, skeletons: dict[str, PlanNode]) -> Dataset
 
 def dataset_key(sf: float) -> str:
     """sha256 over what the skeletons are computed from: the queries' SQL,
-    the source of the table generators, the schema and the plan walk, and
-    ``sf``."""
+    the source of the table generators, the schema, the session settings
+    and the plan walk, and ``sf``."""
     h = hashlib.sha256()
     for q in QUERIES:
         h.update(f"{q.name}\0{q.sql}\0".encode())

@@ -27,7 +27,7 @@ from repro.cluster.allocation import (
 )
 from repro.cluster.simulator import RunResult, simulate
 from repro.core.autoexecutor import DEFAULT_STRATEGY, Prediction, decide
-from repro.experiments.common import Dataset, stable_seed
+from repro.experiments.common import Q94_ANALOGUE, Dataset, stable_seed
 
 
 def rule_predictions(ds: Dataset) -> dict[str, Prediction]:
@@ -116,26 +116,15 @@ def summarize(comps: list[PolicyComparison]) -> dict[str, float]:
     }
 
 
-def skyline_example(ds: Dataset, query: str, *, n_pred: int) -> dict:
-    """Fig 12: skylines for DA(1,48), SA(48), SA(n̂), Rule(n̂) for one query."""
-    graph = ds.graph(query)
-    runs = {
-        "DA(1,48)": simulate(graph, DynamicAllocation(1, 48), seed=stable_seed(query, "f12da")),
-        "SA(48)": simulate(graph, StaticAllocation(48), seed=stable_seed(query, "f12sa")),
-        f"SA({n_pred})": simulate(graph, StaticAllocation(n_pred), seed=stable_seed(query, "f12san")),
-        f"Rule({n_pred})": simulate(
-            graph, PredictiveRule(n_predicted=n_pred), seed=stable_seed(query, "f12rule")
-        ),
-    }
-    return {
-        name: {
-            "t": r.elapsed,
-            "max_n": r.max_executors,
-            "auc": r.auc,
-            "skyline": r.skyline,
-        }
-        for name, r in runs.items()
-    }
+def skyline_example(ds: Dataset, comp: PolicyComparison) -> dict[str, RunResult]:
+    """Fig 12: policy name → run, for one query's §5.4 runs of DA(1,48),
+    SA(48) and Rule(n̂) and a static run at the rule's n̂, SA(n̂)."""
+    san = simulate(
+        ds.graph(comp.query),
+        StaticAllocation(comp.prediction.n_selected),
+        seed=stable_seed(comp.query, "f12san"),
+    )
+    return {r.policy: r for r in (comp.da, comp.sa48, san, comp.rule)}
 
 
 def format_report(ds: Dataset) -> str:
@@ -148,12 +137,10 @@ def format_report(ds: Dataset) -> str:
         f"AUC saved:      vs DA={s['auc_saved_vs_da_pct']:.0f}%  vs SA48={s['auc_saved_vs_sa48_pct']:.0f}%",
         f"Rule slowdown:  vs DA={s['slowdown_vs_da_pct']:.0f}%  vs SA48={s['slowdown_vs_sa48_pct']:.0f}%",
         f"fully-allocated queries: {s['fully_allocated']}/{s['queries']}",
+        "",
+        f"== Fig 12: example skylines ({Q94_ANALOGUE}, q94 analogue) ==",
     ]
-    query = "t7_ss_star_2000"
-    pred = next(c.prediction for c in comps if c.query == query)
-    ex = skyline_example(ds, query, n_pred=pred.n_selected)
-    lines.append("")
-    lines.append(f"== Fig 12: example skylines ({query}, q94 analogue) ==")
-    for name, r in ex.items():
-        lines.append(f"{name:<10} t={r['t']:6.0f}s  max_n={r['max_n']:>2}  AUC={r['auc']:7.0f}")
+    comp = next(c for c in comps if c.query == Q94_ANALOGUE)
+    for name, r in skyline_example(ds, comp).items():
+        lines.append(f"{name:<10} t={r.elapsed:6.0f}s  max_n={r.max_executors:>2}  AUC={r.auc:7.0f}")
     return "\n".join(lines)

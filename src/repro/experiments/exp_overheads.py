@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core import ppm as ppm_mod
-from repro.core.autoexecutor import AutoExecutorRule, train_and_register
+from repro.core.autoexecutor import AutoExecutorRule, register_forest
 from repro.core.parameter_model import fit_ppm, fit_ppm_targets
 from repro.experiments.common import Dataset
 from repro.ml.forest import RandomForestRegressor
@@ -67,10 +67,12 @@ def measure(ds: Dataset) -> Overheads:
     feats = records[0].features
     fit_ms = _median_ms(lambda: [fit_ppm("AE_PL", ex.times) for ex in examples]) / len(examples)
     X, y = [ex.features for ex in examples], fit_ppm_targets("AE_PL", examples)
-    train_ms = _median_ms(lambda: RandomForestRegressor(random_state=0).fit(X, y))
+    # each refit from seed 0 grows the forest that train_and_register would
+    rf = RandomForestRegressor(random_state=0)
+    train_ms = _median_ms(lambda: rf.fit(X, y))
 
     with tempfile.TemporaryDirectory() as tmp:
-        size = train_and_register(ModelRegistry(tmp), "m", "AE_PL", examples)
+        size = register_forest(ModelRegistry(tmp), "m", "AE_PL", rf)
         # each rule on a fresh registry, so its first decision loads cold
         rules = [AutoExecutorRule(ModelRegistry(tmp), "m", "AE_PL") for _ in range(5)]
         cold = [rule.predict_from_features(feats) for rule in rules]

@@ -13,10 +13,7 @@ import numpy as np
 
 from repro.core.parameter_model import fit_ppm
 from repro.core.training import N_GRID, error_by_n, grid_errors, sparklens_error_by_n
-from repro.experiments.common import Dataset
-
-#: the held-out query of Fig 8, our analogue of TPC-DS q94
-FIG8_QUERY = "t7_ss_star_2000"
+from repro.experiments.common import Q94_ANALOGUE, Dataset
 
 
 def fit_to_sparklens(ds: Dataset) -> dict[str, dict[int, float]]:
@@ -86,7 +83,7 @@ def format_report(ds: Dataset) -> str:
                 + "  ".join(f"{vals[n][0]:6.3f}" for n in N_GRID)
             )
     lines.append("")
-    lines.append(f"== Fig 8: series for {FIG8_QUERY} (q94 analogue) ==")
-    for series, times in example_curves(ds, FIG8_QUERY).items():
+    lines.append(f"== Fig 8: series for {Q94_ANALOGUE} (q94 analogue) ==")
+    for series, times in example_curves(ds, Q94_ANALOGUE).items():
         lines.append(f"{series:<7} {({n: round(t, 1) for n, t in times.items()})}")
     return "\n".join(lines)

@@ -4,14 +4,16 @@ The paper evaluates AutoExecutor on "103 TPC-DS queries (99 queries +
 variants)" at SF=10 and SF=100 (§5.1). dsdgen and spark-sql-perf are
 unavailable offline, so this module provides:
 
+- :func:`session_builder` — the settings that shape the plans the
+  queries compile to.
 - :func:`materialize` — generate the star schema from
   :mod:`repro.synth_data` at a scale factor, persist it to parquet (so
   Catalyst sees real file-size statistics for the Σ-input-bytes feature),
   and register temp views.
-- :data:`QUERIES` / :func:`queries` — exactly 103 named analytic queries
-  built from 18 parameterised templates spanning the feature ranges the
-  parameter model consumes: 1–5 joins, unions, aggregates, sorts,
-  filters, distinct counts, and scans over four fact tables.
+- :data:`QUERIES` — exactly 103 named analytic queries built from 18
+  parameterised templates spanning the feature ranges the parameter
+  model consumes: 1–5 joins, unions, aggregates, sorts, filters,
+  distinct counts, and scans over four fact tables.
 
 SF mapping (DESIGN.md): paper SF=10 → ``sf=0.01``; SF=100 → ``sf=0.1``.
 All SQL runs unmodified on both Spark SQL and DuckDB, so results can be
@@ -45,6 +47,16 @@ CHANNELS = {"ss": "store_sales", "cs": "catalog_sales", "ws": "web_sales"}
 _YEARS = [1998, 1999, 2000, 2001, 2002]
 _CATEGORIES = ["Books", "Electronics", "Home", "Sports", "Women"]
 _STATES = ["CA", "TX", "NY", "WA", "FL"]
+
+
+def session_builder() -> SparkSession.Builder:
+    """A SparkSession builder with the settings that shape compiled plans:
+    64 shuffle partitions, Arrow on and broadcast joins disabled."""
+    return (
+        SparkSession.builder.config("spark.sql.shuffle.partitions", 64)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+    )
 
 
 def materialize(spark: SparkSession, *, sf: float, root: str) -> dict[str, DataFrame]:
@@ -359,11 +371,6 @@ def _build_queries() -> list[Query]:
 
 
 QUERIES: list[Query] = _build_queries()
-
-
-def queries() -> list[Query]:
-    """All 103 workload queries (a fresh list; QUERIES itself is shared)."""
-    return list(QUERIES)
 
 
 def query_by_name(name: str) -> Query:

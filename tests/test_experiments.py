@@ -174,10 +174,19 @@ class TestAllocationExperiment:
         s = exp_allocation.summarize(comps)
         assert s["slowdown_vs_sa48_pct"] >= 0
 
-    def test_skyline_example(self, mini_ds):
-        out = exp_allocation.skyline_example(mini_ds, "mq5", n_pred=10)
-        assert set(out) == {"DA(1,48)", "SA(48)", "SA(10)", "Rule(10)"}
-        assert out["SA(48)"]["auc"] > out["Rule(10)"]["auc"]
+    def test_skyline_example(self, mini_ds, comps):
+        """Fig 12 shows the §5.4 runs of the query, plus one SA(n̂) run."""
+        comp = next(c for c in comps if c.query == "mq5")
+        n = comp.prediction.n_selected
+        out = exp_allocation.skyline_example(mini_ds, comp)
+        assert list(out) == ["DA(1,48)", "SA(48)", f"SA({n})", f"Rule({n})"]
+        for name, run in (("DA(1,48)", comp.da), ("SA(48)", comp.sa48), (f"Rule({n})", comp.rule)):
+            r = out[name]
+            assert (r.elapsed, r.auc, r.max_executors, r.skyline) == (
+                run.elapsed, run.auc, run.max_executors, run.skyline
+            )
+        assert out[f"SA({n})"].max_executors == n
+        assert out["SA(48)"].auc > out[f"Rule({n})"].auc
 
 
 class TestCoreImpactExperiment:
@@ -204,6 +213,8 @@ class TestCoreImpactExperiment:
 class TestGroundTruthExperiment:
     def test_tradeoff_curve(self, mini_ds):
         curve = exp_ground_truth.tradeoff_curve(mini_ds, "mq9")
+        rec = next(r for r in mini_ds.records if r.name == "mq9")
+        assert curve == {n: {"t": t, "auc": n * t} for n, t in rec.actual_times.items()}
         assert curve[1]["t"] > curve[48]["t"]
         assert curve[48]["auc"] > curve[1]["auc"] * 0.5
 

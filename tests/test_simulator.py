@@ -208,6 +208,14 @@ class TestRandomGraphInvariants:
         assert r.events >= tasks + len(graph.stages)  # every task end and stage start
         assert max(s.num_tasks for s in graph.stages) <= r.peak_pending <= tasks
 
+    @settings(max_examples=150, deadline=None)
+    @given(task_graphs(), st.integers(1, 48), st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**16))
+    def test_static_auc_is_exactly_n_times_elapsed(self, graph, n, e_c, seed):
+        """SA(n)'s executors all arrive at t=0 and none leaves, so its AUC
+        is n·t with no rounding: Fig 1 reports AUC as n·t(n)."""
+        r = simulate(graph, StaticAllocation(n), e_c=e_c, seed=seed)
+        assert r.auc == n * r.elapsed
+
 
 class TestCoreEfficiency:
     def test_default_ec_is_exact(self):

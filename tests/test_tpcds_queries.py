@@ -62,3 +62,10 @@ def test_result_matches_duckdb(spark, tpcds_tables, tpcds_pandas, name):
     q = query_by_name(name)
     inputs = {t: tpcds_pandas[t] for t in q.tables}
     assert_equivalent(spark.sql(q.sql), q.sql, **inputs)
+
+
+def test_session_has_the_plan_shaping_settings(spark):
+    """The test session comes from the builder the jobs use."""
+    assert spark.conf.get("spark.sql.shuffle.partitions") == "64"
+    assert spark.conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
+    assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
