@@ -116,15 +116,16 @@ def summarize(comps: list[PolicyComparison]) -> dict[str, float]:
     }
 
 
-def skyline_example(ds: Dataset, comp: PolicyComparison) -> dict[str, RunResult]:
-    """Fig 12: policy name → run, for one query's §5.4 runs of DA(1,48),
-    SA(48) and Rule(n̂) and a static run at the rule's n̂, SA(n̂)."""
+def skyline_example(ds: Dataset, comp: PolicyComparison) -> list[RunResult]:
+    """Fig 12: one query's §5.4 runs of DA(1,48) and SA(48), a static run
+    at the rule's n̂, SA(n̂), and its Rule(n̂) run, in that order; four runs
+    even when n̂ = 48 and two of them are named SA(48)."""
     san = simulate(
         ds.graph(comp.query),
         StaticAllocation(comp.prediction.n_selected),
         seed=stable_seed(comp.query, "f12san"),
     )
-    return {r.policy: r for r in (comp.da, comp.sa48, san, comp.rule)}
+    return [comp.da, comp.sa48, san, comp.rule]
 
 
 def format_report(ds: Dataset) -> str:
@@ -141,6 +142,6 @@ def format_report(ds: Dataset) -> str:
         f"== Fig 12: example skylines ({Q94_ANALOGUE}, q94 analogue) ==",
     ]
     comp = next(c for c in comps if c.query == Q94_ANALOGUE)
-    for name, r in skyline_example(ds, comp).items():
-        lines.append(f"{name:<10} t={r.elapsed:6.0f}s  max_n={r.max_executors:>2}  AUC={r.auc:7.0f}")
+    for r in skyline_example(ds, comp):
+        lines.append(f"{r.policy:<10} t={r.elapsed:6.0f}s  max_n={r.max_executors:>2}  AUC={r.auc:7.0f}")
     return "\n".join(lines)

@@ -4,6 +4,8 @@ A fake :class:`Dataset` of 15 queries (realistic skeletons + simulated
 ground truth) exercises each experiment module end-to-end without Spark
 and asserts the paper-shaped properties hold.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,14 +181,23 @@ class TestAllocationExperiment:
         comp = next(c for c in comps if c.query == "mq5")
         n = comp.prediction.n_selected
         out = exp_allocation.skyline_example(mini_ds, comp)
-        assert list(out) == ["DA(1,48)", "SA(48)", f"SA({n})", f"Rule({n})"]
-        for name, run in (("DA(1,48)", comp.da), ("SA(48)", comp.sa48), (f"Rule({n})", comp.rule)):
-            r = out[name]
-            assert (r.elapsed, r.auc, r.max_executors, r.skyline) == (
-                run.elapsed, run.auc, run.max_executors, run.skyline
-            )
-        assert out[f"SA({n})"].max_executors == n
-        assert out["SA(48)"].auc > out[f"Rule({n})"].auc
+        assert [r.policy for r in out] == ["DA(1,48)", "SA(48)", f"SA({n})", f"Rule({n})"]
+        da, sa48, san, rule = out
+        assert (da, sa48, rule) == (comp.da, comp.sa48, comp.rule)
+        assert san.max_executors == n
+        assert sa48.auc > rule.auc
+
+    def test_skyline_example_keeps_four_runs_at_48(self, mini_ds, comps):
+        """When the rule picks n̂ = 48, SA(n̂) and SA(48) share a name and
+        Fig 12 still shows both."""
+        comp = next(c for c in comps if c.query == "mq5")
+        comp = dataclasses.replace(
+            comp, prediction=dataclasses.replace(comp.prediction, n_selected=48)
+        )
+        out = exp_allocation.skyline_example(mini_ds, comp)
+        assert [r.policy for r in out] == ["DA(1,48)", "SA(48)", "SA(48)", comp.rule.policy]
+        assert out[1] == comp.sa48
+        assert out[2].max_executors == 48
 
 
 class TestCoreImpactExperiment:

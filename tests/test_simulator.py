@@ -1,12 +1,14 @@
 """Unit tests for the event-driven cluster simulator."""
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.allocation import (
+    AllocationPolicy,
     DynamicAllocation,
     PredictiveRule,
     StaticAllocation,
@@ -14,7 +16,13 @@ from repro.cluster.allocation import (
 from repro.cluster.simulator import core_efficiency, simulate
 from repro.cluster.taskgraph import Stage, TaskGraph, build_task_graph
 from repro.core.features import PlanNode
-from repro.experiments.common import ground_truth_times, sparklens_times
+from repro.experiments.common import (
+    N_GRID,
+    RUNS_PER_N,
+    ground_truth_times,
+    sparklens_times,
+    stable_seed,
+)
 from tests.snapshot import snapshot_records, snapshot_skeletons
 
 
@@ -215,6 +223,78 @@ class TestRandomGraphInvariants:
         is n·t with no rounding: Fig 1 reports AUC as n·t(n)."""
         r = simulate(graph, StaticAllocation(n), e_c=e_c, seed=seed)
         assert r.auc == n * r.elapsed
+
+
+class _PerExecutorStatic(AllocationPolicy):
+    """SA(n)'s behaviour in a policy that is not a :class:`StaticAllocation`,
+    so ``simulate`` runs it on the per-executor loop: the reference for the
+    slot counter."""
+
+    instant_initial = True
+    remove_idle = False
+
+    def __init__(self, n: int):
+        self.n = n
+        self.name = f"SA({n})"
+
+    def initial_target(self) -> int:
+        return self.n
+
+    def target(self, now, pending, running, live, e_c) -> int:
+        return self.n
+
+
+def _no_overheads(graph: TaskGraph) -> TaskGraph:
+    """The root stages queue at t=0 with the arrivals and the tick, and a
+    child at the instant its last parent task ends: every tie is decided
+    by the ``seq`` order."""
+    return dataclasses.replace(graph, stage_overhead_sec=0.0, app_startup_sec=0.0)
+
+
+_TIE_GRAPH = TaskGraph(
+    query="ties",
+    stages=[
+        Stage(0, (), (1.0,) * 9),
+        Stage(1, (), (2.0, 0.5)),
+        Stage(2, (0,), (1.0,) * 5),
+        Stage(3, (0,), (3.0,)),
+        Stage(4, (1, 3), (0.5,) * 3),
+    ],
+    stage_overhead_sec=0.0,
+    app_startup_sec=0.0,
+)
+
+
+class TestStaticSlotCounter:
+    """SA runs on a slot counter that must equal the per-executor loop."""
+
+    def test_reference_runs_the_general_loop(self):
+        assert not isinstance(_PerExecutorStatic(3), StaticAllocation)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(task_graphs(), task_graphs().map(_no_overheads)),
+        st.integers(1, 48),
+        st.sampled_from([1, 2, 4, 8]),
+        st.integers(0, 2**16),
+    )
+    @example(_TIE_GRAPH, 1, 1, 0)
+    @example(_TIE_GRAPH, 2, 2, 7)
+    @example(_TIE_GRAPH, 48, 8, 3)
+    @example(TaskGraph("empty", [], 0.0, 0.0), 3, 4, 0)
+    def test_equals_per_executor_loop(self, graph, n, e_c, seed):
+        ref = simulate(graph, _PerExecutorStatic(n), e_c=e_c, seed=seed)
+        assert simulate(graph, StaticAllocation(n), e_c=e_c, seed=seed) == ref
+
+    def test_snapshot_ground_truth_and_sparklens_runs(self, snapshot):
+        """Every SA run behind the snapshot's ground truth and Sparklens
+        estimates equals the per-executor loop's."""
+        for _, g in snapshot:
+            seeds = [(n, stable_seed(g.query, n, r, "gt")) for n in N_GRID for r in range(RUNS_PER_N)]
+            seeds.append((16, stable_seed(g.query, 16, "sparklens")))
+            for n, seed in seeds:
+                ref = simulate(g, _PerExecutorStatic(n), seed=seed)
+                assert simulate(g, StaticAllocation(n), seed=seed) == ref, (g.query, n, seed)
 
 
 class TestCoreEfficiency:
