@@ -4,7 +4,9 @@ The paper's flow: run every query once at n=16, let Sparklens estimate
 t(n) for other executor counts (training-data augmentation), fit the PPM
 parameters per query, train the Random-Forest parameter model on
 (features → parameters), then evaluate predictions against *actual* run
-times with 10-repeated 5-fold cross validation over query templates.
+times with 10-repeated 5-fold cross validation. Each repeat shuffles the
+query instances at random into the 5 folds, so a test query's template
+siblings may be in training.
 
 This module is Spark-free: it consumes the per-query records produced by
 ``repro.experiments.common`` (features from real Catalyst plans, actual

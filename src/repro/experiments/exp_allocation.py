@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.allocation import (
+    RULE_INITIAL_N,
     DynamicAllocation,
     PredictiveRule,
     StaticAllocation,
@@ -77,7 +78,7 @@ def compare_policies(ds: Dataset) -> list[PolicyComparison]:
                 da=da,
                 sa48=sa,
                 rule=rule,
-                fully_allocated=rule.max_executors >= max(pred.n_selected, 5),
+                fully_allocated=rule.max_executors >= max(pred.n_selected, RULE_INITIAL_N),
             )
         )
     return out

@@ -32,23 +32,26 @@ def permutation_importance(
 ) -> dict[str, np.ndarray]:
     """Return ``{"importances_mean", "importances_std", "importances"}``.
 
-    ``importances`` has shape ``(n_features, n_repeats)``. The repeats of
-    one feature are scored with one ``model.predict`` call on their
-    stacked rows; predictions are row-independent, so each repeat's slice
-    equals a prediction of that repeat alone.
+    ``importances`` has shape ``(n_features, n_repeats)``. A permuted
+    column takes only the column's own values, so one ``model.predict``
+    per feature scores every row at each distinct value, and repeat ``r``
+    reads row ``i`` at row ``perm_r[i]``'s value. Predictions are
+    row-independent, so this equals a predict of each permuted ``X``;
+    ``rng.permutation(n)`` draws the order ``rng.permutation(X[:, f])`` does.
     """
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(random_state)
     base = _neg_mse(model.predict(X), y)
     n, n_features = X.shape
+    rows = np.arange(n)
     imp = np.zeros((n_features, n_repeats))
     for f in range(n_features):
-        Xp = np.repeat(X[None], n_repeats, axis=0)
+        values, inverse = np.unique(X[:, f], return_inverse=True)
+        grid = np.repeat(X[None], len(values), axis=0)
+        grid[:, :, f] = values[:, None]
+        pred = model.predict(grid.reshape(-1, n_features)).reshape(len(values), n, -1)
         for r in range(n_repeats):
-            Xp[r, :, f] = rng.permutation(X[:, f])
-        pred = model.predict(Xp.reshape(n_repeats * n, n_features))
-        for r in range(n_repeats):
-            imp[f, r] = base - _neg_mse(pred[r * n : (r + 1) * n], y)
+            imp[f, r] = base - _neg_mse(pred[inverse[rng.permutation(n)], rows], y)
     return {
         "importances_mean": imp.mean(axis=1),
         "importances_std": imp.std(axis=1),

@@ -27,6 +27,7 @@ from repro.experiments.common import (
     ground_truth_times,
     sparklens_times,
 )
+from repro.ml.permutation_importance import permutation_importance
 
 
 def _skeleton(i: int) -> PlanNode:
@@ -78,22 +79,28 @@ def folds(mini_ds):
 class TestSharedCv:
     def test_cv_sections_share_one_cv_per_family(self, mini_ds, monkeypatch):
         """Prediction, selection, allocation and §5.7 read the same
-        FoldResult objects, from one unmasked CV run per family."""
-        runs, masked = [], []
+        FoldResult objects, from one unmasked CV run per family; §5.7
+        scores every fold of it, and F1–F3 run CVs of the default size."""
+        runs, masked, scored = [], [], []
 
         def spy(records, *, family):
             runs.append((family, _small_cv(records, family=family)))
             return runs[-1][1]
 
-        def masked_spy(records, *, family, repeats, feature_mask):
-            assert repeats == exp_importance.CV_REPEATS
+        def masked_spy(records, *, family, feature_mask, **kwargs):
+            assert kwargs == {}  # the default 10 repeats
             masked.append(feature_mask)
             return run_cross_validation(
                 records, family=family, repeats=1, folds=3, feature_mask=feature_mask
             )
 
+        def importance_spy(model, X, y, **kwargs):
+            scored.append(model)
+            return permutation_importance(model, X, y, **kwargs)
+
         monkeypatch.setattr(common, "run_cross_validation", spy)
         monkeypatch.setattr(exp_importance, "run_cross_validation", masked_spy)
+        monkeypatch.setattr(exp_importance, "permutation_importance", importance_spy)
         ds = Dataset(sf=mini_ds.sf, records=mini_ds.records, skeletons=mini_ds.skeletons)
         exp_prediction.cv_errors(ds)
         exp_prediction.example_curves(ds, "mq5")
@@ -104,6 +111,7 @@ class TestSharedCv:
         exp_importance.importance_scores(ds)
         ab = exp_importance.ablation(ds)
         assert [fam for fam, _ in runs] == ["AE_PL", "AE_AL"]
+        assert scored == [fr.model for _, folds in runs for fr in folds]
         for fam, folds in runs:
             assert ds.cv(fam) is folds
             assert ab[fam]["F0"] == {n: mu for n, (mu, _) in error_by_n(ds.records, folds).items()}

@@ -1,8 +1,10 @@
 """Unit tests for permutation feature importance (§5.7 substrate)."""
 import numpy as np
 
+from repro.core.parameter_model import fit_ppm_targets
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.permutation_importance import permutation_importance
+from tests.snapshot import snapshot_cv, snapshot_records
 
 
 def test_informative_feature_ranks_first():
@@ -55,13 +57,29 @@ def test_multi_output_supported():
     assert int(np.argmax(res["importances_mean"])) == 0
 
 
-def test_batched_repeats_equal_one_predict_per_repeat():
-    """Scoring all repeats of a feature with one stacked predict gives the
-    importances of one predict per repeat, bit for bit."""
+def _cases():
+    """(model, X, y) inputs: random floats with one and three outputs, a
+    column of repeated small integers (like the plan operator counts), and
+    fold 0 of the snapshot's AE_PL CV on its test rows."""
     rng = np.random.default_rng(5)
     X = rng.random((30, 4))
     for y in (X[:, 0] + X[:, 1], np.stack([X[:, 0], X[:, 2] * 3, X[:, 3]], axis=1)):
-        f = RandomForestRegressor(n_estimators=8, random_state=0).fit(X, y)
+        yield RandomForestRegressor(n_estimators=8, random_state=0).fit(X, y), X, y
+    Xi = X.copy()
+    Xi[:, 1] = rng.integers(0, 4, len(Xi))
+    y = Xi[:, 1] * 2 + Xi[:, 0]
+    yield RandomForestRegressor(n_estimators=8, random_state=0).fit(Xi, y), Xi, y
+    fr = snapshot_cv("AE_PL")[0]
+    records = {r.name: r for r in snapshot_records()}
+    test = [records[q] for q in fr.test_queries]
+    Xs = np.asarray([r.features for r in test], dtype=float)
+    yield fr.model, Xs, fit_ppm_targets("AE_PL", [r.to_example() for r in test])
+
+
+def test_batched_repeats_equal_one_predict_per_repeat():
+    """Scoring all repeats of a feature from one predict over its distinct
+    values gives the importances of one predict per repeat, bit for bit."""
+    for f, X, y in _cases():
         res = permutation_importance(f, X, y, n_repeats=6, random_state=2)
 
         def neg_mse(Xs):
@@ -69,8 +87,8 @@ def test_batched_repeats_equal_one_predict_per_repeat():
             return -float(np.mean((pred - y.reshape(len(Xs), -1)) ** 2))
 
         perm = np.random.default_rng(2)
-        ref = np.zeros((4, 6))
-        for j in range(4):
+        ref = np.zeros((X.shape[1], 6))
+        for j in range(X.shape[1]):
             for r in range(6):
                 Xp = X.copy()
                 Xp[:, j] = perm.permutation(Xp[:, j])
