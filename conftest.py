@@ -37,15 +37,6 @@ def _driver_mem() -> str:
     return "48g"
 
 
-# The pinned digests and forest node counts (test_pinned_errors, test_forest,
-# test_tree) record exact float bits of the PPM fits, and
-# ``linreg.fit_line`` solves with ``np.linalg.lstsq``, whose last bits
-# depend on the kernel a DYNAMIC_ARCH OpenBLAS picks for the CPU (its
-# SkylakeX and Haswell kernels differ from the pins). OpenBLAS reads this
-# variable once, when numpy first loads it, so it is set here, before any
-# test module imports numpy. Prescott is the generic SSE3 kernel that every
-# x86-64 CPU runs; other architectures ignore the variable.
-os.environ.setdefault("OPENBLAS_CORETYPE", "Prescott")
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

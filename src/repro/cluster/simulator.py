@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.cluster.allocation import AllocationPolicy, StaticAllocation
 from repro.cluster.taskgraph import TaskGraph, stable_hash
+from repro.core.selection import DEFAULT_EC
 
 
 # The pool's fixed calibration (Synapse medium nodes, §5.1)
@@ -85,14 +86,14 @@ class RunResult:
 def core_efficiency(query: str, e_c: int) -> float:
     """Per-task duration multiplier for a non-default executor size.
 
-    ``e_c = 4`` is the calibrated baseline (the paper's default). Small
-    executors pay per-JVM overheads, large ones GC/memory-bandwidth
+    :data:`DEFAULT_EC` (4, the paper's default) is the calibrated baseline.
+    Small executors pay per-JVM overheads, large ones GC/memory-bandwidth
     pressure; a deterministic per-query wiggle makes the deviation
     query-dependent like Fig 5c (mean |error| ≈ 9 %).
     """
-    if e_c == 4:
+    if e_c == DEFAULT_EC:
         return 1.0
-    base = 1.0 + 0.07 * abs(e_c - 4) / 2.0
+    base = 1.0 + 0.07 * abs(e_c - DEFAULT_EC) / 2.0
     h = stable_hash(query, e_c) / 2**32  # deterministic per-(query, size) wiggle
     return base * (0.86 + 0.27 * h)
 
@@ -126,7 +127,7 @@ def simulate(
     graph: TaskGraph,
     policy: AllocationPolicy,
     *,
-    e_c: int = 4,
+    e_c: int = DEFAULT_EC,
     seed: int = 0,
 ) -> RunResult:
     """Run one application under ``policy`` on executors of ``e_c`` cores.

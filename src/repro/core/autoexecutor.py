@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame
 from repro.core import ppm as ppm_mod
 from repro.core.features import FEATURE_NAMES, featurize_plan
 from repro.core.parameter_model import TrainingExample, fit_ppm_targets
-from repro.core.selection import CANDIDATES, elbow_point, factorize_cores, limited_slowdown
+from repro.core.selection import CANDIDATES, DEFAULT_EC, elbow_point, factorize_cores, limited_slowdown
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.portable import ModelRegistry
 
@@ -36,7 +36,7 @@ class Prediction:
     ppm: ppm_mod.PPM
     times: dict[int, float]  # predicted t(n) over candidates
     n_selected: int
-    factorization: tuple[int, int] | None  # (n, e_c) for k = n * e_c_default
+    factorization: tuple[int, int] | None  # (n, e_c) for k = n * DEFAULT_EC
     timings_ms: dict[str, float] = field(default_factory=dict)
 
 
@@ -62,7 +62,7 @@ def decide(ppm: ppm_mod.PPM, strategy: tuple = DEFAULT_STRATEGY, *, query: str =
         ppm=ppm,
         times=times,
         n_selected=n_sel,
-        factorization=factorize_cores(n_sel * 4),
+        factorization=factorize_cores(n_sel * DEFAULT_EC),
     )
 
 

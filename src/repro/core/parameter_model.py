@@ -34,8 +34,7 @@ class TrainingExample:
 
 def fit_ppm(family: str, times: dict[int, float]) -> ppm_mod.PPM:
     """Fit the PPM ``family`` to one query's ``n → t(n)`` samples."""
-    ns = sorted(times)
-    return ppm_mod.fit(family, ns, [times[n] for n in ns])
+    return ppm_mod.fit(family, list(times), list(times.values()))
 
 
 def fit_ppm_targets(family: str, examples: list[TrainingExample]) -> np.ndarray:

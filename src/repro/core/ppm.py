@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.linreg import fit_line
-
 
 class PPM:
     """A predicted/fitted price-performance model instance."""
@@ -89,6 +87,16 @@ class AmdahlPPM(PPM):
         return cls(s=max(s, 0.0), p=max(pp, 0.0))
 
 
+def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares ``(slope, intercept)`` of ``y = slope·x + intercept`` in
+    closed form over centred ``math.fsum`` sums, which are exactly rounded:
+    the same bits on every host and for every order of the points."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    slope = math.fsum(d * (y - my) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+    return slope, my - slope * mx
+
+
 def fit_power_law(ns, ts) -> PowerLawPPM:
     """Fit AE_PL to observed ``(n, t(n))`` samples (§3.4).
 
@@ -96,28 +104,21 @@ def fit_power_law(ns, ts) -> PowerLawPPM:
     the non-saturating region ``n ∈ [1, n_m]`` where ``n_m`` is the
     smallest n achieving (within 0.1 %) the minimum.
     """
-    ns = np.asarray(ns, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    order = np.argsort(ns)
-    ns, ts = ns[order], ts[order]
-    m = float(ts.min())
-    sat = np.nonzero(ts <= m * 1.001)[0]
-    n_m_idx = int(sat[0]) if len(sat) else len(ns) - 1
-    region = slice(0, max(2, n_m_idx + 1))
-    x = np.log(ns[region])
-    y = np.log(np.maximum(ts[region], 1e-9))
-    if len(set(x.tolist())) < 2:
+    pts = sorted(zip(map(float, ns), map(float, ts)))
+    m = min(t for _, t in pts)
+    n_m_idx = next(i for i, (_, t) in enumerate(pts) if t <= m * 1.001)
+    region = pts[: max(2, n_m_idx + 1)]
+    x = [math.log(n) for n, _ in region]
+    if len(set(x)) < 2:
         return PowerLawPPM(a=0.0, b=m, m=m)
-    a, log_b = fit_line(x, y)
-    return PowerLawPPM(a=min(a, 0.0), b=float(math.exp(log_b)), m=m)
+    a, log_b = _line_fit(x, [math.log(max(t, 1e-9)) for _, t in region])
+    return PowerLawPPM(a=min(a, 0.0), b=math.exp(log_b), m=m)
 
 
 def fit_amdahl(ns, ts) -> AmdahlPPM:
     """Fit AE_AL by linear regression of ``t`` against ``1/n`` (§3.4)."""
-    ns = np.asarray(ns, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    p, s = fit_line(1.0 / ns, ts)
-    return AmdahlPPM(s=max(float(s), 0.0), p=max(float(p), 0.0))
+    p, s = _line_fit([1.0 / n for n in ns], ts)
+    return AmdahlPPM(s=max(s, 0.0), p=max(p, 0.0))
 
 
 MODEL_FAMILIES = {

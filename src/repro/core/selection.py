@@ -29,6 +29,8 @@ NODE_MEMORY_GB = 64.0
 EXECUTOR_MEMORY_GB = 28.0
 #: executor sizes (cores) a factorization chooses from
 CANDIDATE_EC = (1, 2, 4, 6, 8)
+#: the paper's default executor size (cores), the e_c of every run but Table 1's
+DEFAULT_EC = 4
 
 
 def interpolate_times(times: dict[int, float]) -> dict[int, float]:
@@ -43,10 +45,7 @@ def limited_slowdown(times: dict[int, float], h: float) -> int:
     if h < 1.0:
         raise ValueError("slowdown threshold H must be ≥ 1")
     t_min = min(times.values())
-    for n in sorted(times):
-        if times[n] <= h * t_min:
-            return n
-    return max(times)  # unreachable for h ≥ 1, kept for safety
+    return min(n for n, t in times.items() if t <= h * t_min)
 
 
 def elbow_point(times: dict[int, float]) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.cluster.allocation import StaticAllocation
 from repro.cluster.simulator import simulate
+from repro.core.selection import DEFAULT_EC
 from repro.experiments.common import Dataset, iqr_mean, stable_seed
 
 #: Table 1 — (e_c, n) with k = n * e_c
@@ -54,12 +55,12 @@ def relative_errors(times_by_query: dict[str, dict[tuple[int, int], float]]) -> 
     errors = []
     for times in times_by_query.values():
         base = sorted(
-            (e_c * n, t) for (e_c, n), t in times.items() if e_c == 4
+            (e_c * n, t) for (e_c, n), t in times.items() if e_c == DEFAULT_EC
         )
         ks = [k for k, _ in base]
         ts = [t for _, t in base]
         for (e_c, n), t in times.items():
-            if e_c == 4:
+            if e_c == DEFAULT_EC:
                 continue
             k = e_c * n
             t_hat = float(np.interp(k, ks, ts))

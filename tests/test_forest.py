@@ -116,8 +116,8 @@ class TestRandomForest:
 #: sha256 of the fold-0 test predictions; any change to a split, a leaf
 #: value or the order in which tree outputs are summed changes them.
 PINNED_SHA256 = {
-    "AE_PL": "65becb9e894f7a4e6becadefe9300170652cf9d3a506536fb8548bab9ecb149c",
-    "AE_AL": "b87f9698394f937c35292998a5e537a39639bedf35dbda2082e3dde8b4840e80",
+    "AE_PL": "13930735b7a763b3309e6833bf1caf1e104cdde6cc2d323060511b9b90358a61",
+    "AE_AL": "571ef25acf332c0c79d49b1440992089c57d34c5a794285bf76d7cc3217928fc",
 }
 
 
@@ -151,10 +151,10 @@ def test_pinned_parameter_forest(family):
 #: fold 0 of the snapshot; any change to a split, a threshold, a child id,
 #: a leaf value or the node numbering changes them.
 PINNED_NODES_SHA256 = {
-    "AE_PL": "c683f17437b004554038a2d4c03860a85baa5395dc0ed83d6e7db4bc1cc068c1",
-    "AE_AL": "d3e9186651f2983dcfc9a21150fb4d2085b626cadf2388fea756e71f672b5be0",
-    "AE_PL one output": "e1f67583cd42d7cf378867b182a7d497ff1f7ee2bf58b1ec1f727506b648ec8b",
-    "AE_PL F1 columns": "370b90f6803fca6d4413400d4520c9008d6ccddc14151a7b13df878287d352f9",
+    "AE_PL": "f95e77d601bcabdbe3c2267cdfed2bb351b31bef4c850e2b345ef737da8168b3",
+    "AE_AL": "97afd758d8e7b2c9e9af603616d43ac01c4ca0a9eddeaae3d821e6112cf5c0c2",
+    "AE_PL one output": "9843972b7b4f03cde5a0322d3ac0308d1e195e2c2e809c2bcfa866ac8d512f3f",
+    "AE_PL F1 columns": "17caf9dc53d8d3b6d5906b4805aaff160d81e26f49032d728b6dd4a2cc445eab",
 }
 
 

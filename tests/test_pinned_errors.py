@@ -26,19 +26,19 @@ from tests.snapshot import snapshot_cv, snapshot_records, snapshot_skeletons
 
 #: sha256 over each table's keys and exact (hex) float values
 PINNED_SHA256 = {
-    "fit_to_sparklens": "d289879980d398b7129597fec21d90ff4064e647bebac6fbce67bc3cd3fc5882",
+    "fit_to_sparklens": "634d2fdd8e3d169e9141d5622e406edfe389aeea89feef25558dff5db6439075",
     "sparklens_error_by_n": "d87a3d5a718e70bf76ca139ec45322d85b5c45fa0b53457ccb4cb15677b02eb7",
-    "error_by_n AE_PL train": "01c69e5afcd23efaf72e906b13a21e83004dc22a15e01895dd376da4fad7d10b",
-    "error_by_n AE_PL test": "3f438ad0a0313232501fb479a1b39928753e060912948115e96ca2d5a5017276",
-    "error_by_n AE_AL train": "12cf80b0eea2b33f5fb36403c21754f1d44b01c9bc22ab3e495cb5e62190a235",
-    "error_by_n AE_AL test": "db47a3c518a92b5103f6a0a7814a02962347d96fac35aa9a91bc4f39b5584d3f",
-    "cross_sf_errors sf0.1 to sf0.01": "df266642bedecf817b950a514963bac43efc422a28d5f354589b4e27f137d00e",
-    "cross_sf_errors sf0.01 to sf0.1": "be3167a61eac075e713e2406eee6cc98a75957ae265a8e05615b62d1d9824f1e",
-    "limited_slowdown_table": "2cb4f43423e5cf681d44bbf5a755c3189be24e0ebae8c6d7f6027c525aad3319",
-    "static_speedups": "8746cf3c2e58e4411dbdf5250d591b54d38ebb475221475f9845a18d644def3d",
-    "elbow_distribution": "00de4bacd8fbdbb3a812e527f1c12810968e800eebbe568382025b4278c3eca7",
-    "summarize(compare_policies)": "c3eb7d672f1a0871194269855f41598e3cb9232c004fddb76d77779813698d5d",
-    "n_hat by query": "b7c06754481b7b5455da5e0ae1bbf757cf4cb59e920c65e0c5bb68bd8abc25c2",
+    "error_by_n AE_PL train": "f636abbf077ef0cb7340d42a4e2ee8a04815bc1899f80804f3a17c779e763d78",
+    "error_by_n AE_PL test": "996b762cfcfdebded17889b6490452e383a484f1c8efa05dd98ee74d7ea426d6",
+    "error_by_n AE_AL train": "a514df27deb550447ad51c25bfe33df02614ff5a83199f58ec6dd66417e57ab2",
+    "error_by_n AE_AL test": "06b642a3dc79cadd99d3b5c33a424dca3be11c92462a2e07cedc2b0b10f09b67",
+    "cross_sf_errors sf0.1 to sf0.01": "740f0f2010bd413942a517cfdd38de08d91eeaf520818d3c706f118e1dd93c10",
+    "cross_sf_errors sf0.01 to sf0.1": "17d8cf9520c08af9f80fb76c24c679c3127e89c001f4c60791ff814176d4ee4e",
+    "limited_slowdown_table": "fd349d8e08b258a6c86e56c170b04c49a8763aa34dc9c1134b79463944d45069",
+    "static_speedups": "bf76cd7e4866f8182559fa976b9d5598d009096257a7eebedfd9a3b58e7bdea1",
+    "elbow_distribution": "cc15027d676898f3e8f6e1fde07682add66717cc4e1b32ff7c014b81ca6f070e",
+    "summarize(compare_policies)": "b89b67ce1470d6050c8f132fb77fc13bc0404cb1102210b84e9bbb5ad89f472f",
+    "n_hat by query": "96e3b50621a0e537d4631d4f8dbf5f20a90c27534258b6bd9878203a10b6c562",
 }
 
 

@@ -1,19 +1,75 @@
 """Unit tests for the PPM families and fitting (§3.1, §3.4)."""
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ppm as ppm_mod
-from repro.core.ppm import (
-    AmdahlPPM,
-    PowerLawPPM,
-    error_metric,
-    fit_amdahl,
-    fit_power_law,
-)
+from repro.core.parameter_model import fit_ppm
+from repro.core.ppm import AmdahlPPM, PowerLawPPM, _line_fit, error_metric, fit_amdahl, fit_power_law
+from tests.snapshot import snapshot_records
 
 NS = [1, 3, 8, 16, 32, 48]
+
+
+class TestLineFit:
+    def test_least_squares_on_noisy_data(self):
+        rng = np.random.default_rng(1)
+        x = np.linspace(0, 10, 200)
+        y = 1.7 * x + 3.0 + rng.normal(0, 0.01, 200)
+        slope, intercept = _line_fit(x.tolist(), y.tolist())
+        assert slope == pytest.approx(1.7, abs=0.01) and intercept == pytest.approx(3.0, abs=0.02)
+
+    @given(slope=st.floats(-100, 100), intercept=st.floats(-100, 100))
+    @settings(max_examples=50, deadline=None)
+    def test_recovers_any_line(self, slope, intercept):
+        x = [0.0, 1.0, 2.0, 5.0]
+        s, b = _line_fit(x, [slope * xi + intercept for xi in x])
+        assert s == pytest.approx(slope, abs=1e-6 + 1e-8 * abs(slope))
+        assert b == pytest.approx(intercept, abs=1e-6 + 1e-8 * abs(intercept))
+
+    def test_two_points(self):
+        assert _line_fit([1.0, 2.0], [10.0, 20.0]) == pytest.approx((10.0, 0.0))
+
+
+#: sha256 of :func:`fit_digest`'s fits
+FIT_SHA256 = "743e6dc3877181f09e14c43695685b08f5e6b445083a2886636b771979b73b45"
+
+
+def fit_digest() -> str:
+    """sha256 over the parameters of both families' fits to each snapshot
+    query's Sparklens estimates and to its actual times (412 fits)."""
+    fits = [
+        fit_ppm(family, times).params().tobytes()
+        for r in snapshot_records()
+        for family in ("AE_PL", "AE_AL")
+        for times in (r.sparklens_times, r.actual_times)
+    ]
+    return hashlib.sha256(b"".join(fits)).hexdigest()
+
+
+def test_pinned_fit_digest():
+    assert fit_digest() == FIT_SHA256
+
+
+def test_fit_digest_is_the_same_on_generic_kernels():
+    """A process on OpenBLAS's generic kernel, with every AVX-512 target
+    that numpy dispatches to on this CPU switched off, fits the same bits."""
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    avx512 = [f for f in __cpu_dispatch__ if f.startswith("AVX512") and __cpu_features__[f]]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", NPY_DISABLE_CPU_FEATURES=",".join(avx512))
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+    code = "from tests.test_ppm import fit_digest; print(fit_digest())"
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == fit_digest(), out.stderr
 
 
 class TestPowerLaw:
