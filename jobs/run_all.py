@@ -51,7 +51,7 @@ def get_session():
 
 def main(argv: list[str]) -> None:
     names = select(argv)
-    from repro.experiments.common import dataset_for_paper_sf
+    from repro.experiments.common import SF_MAP, load_dataset
 
     spark = None
     datasets = {}
@@ -65,7 +65,7 @@ def main(argv: list[str]) -> None:
         if a == "spark":
             return session()
         if a not in datasets:
-            datasets[a] = dataset_for_paper_sf(a, session)
+            datasets[a] = load_dataset(SF_MAP[a], session)
         return datasets[a]
 
     for i, name in enumerate(names):

@@ -1,11 +1,13 @@
 """Shared experiment infrastructure: the per-query dataset (§5.1).
 
-Only what needs Spark is cached. ``build_dataset`` materializes the
-TPC-DS-lite tables, compiles all 103 queries through Catalyst and walks
-each optimized plan once into a skeleton; ``dataset_sf{sf}.json`` under
-``.cache/repro`` holds those skeletons and :func:`dataset_key`, a sha256
-over every input of the Spark side. A file whose key differs from the
-code's is rebuilt, never served.
+Only what needs Spark is stored. ``dataset_sf{sf}.json`` under
+``.cache/repro`` holds the plan skeleton of each of the 103 queries,
+compiled through Catalyst at that scale factor; the committed files are
+the datasets' inputs. :func:`load_dataset` reads one, and records it
+first from a Spark session if it is missing. Tier-1 checks that each
+committed skeleton has the shape (names, widths, children) that the code
+compiles; its sizes depend on sf and the parquet layout, so a re-recorded
+file moves the reported numbers.
 
 Everything else is a pure function of the skeletons, computed in the
 process on load:
@@ -19,15 +21,12 @@ process on load:
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import synth_data
-from repro.core import features
 from repro.core.features import PlanNode, extract_skeleton, plan_features
 from repro.core.selection import CANDIDATES
 from repro.core.training import N_GRID, FoldResult, QueryRecord, run_cross_validation
@@ -35,7 +34,6 @@ from repro.cluster.allocation import StaticAllocation
 from repro.cluster.simulator import simulate
 from repro.cluster.sparklens import analyze
 from repro.cluster.taskgraph import TaskGraph, build_task_graph, stable_hash as stable_seed
-from repro.workloads import tpcds_lite
 from repro.workloads.tpcds_lite import QUERIES, materialize
 
 DEFAULT_CACHE = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
@@ -132,61 +130,28 @@ def dataset_from_skeletons(sf: float, skeletons: dict[str, PlanNode]) -> Dataset
     return Dataset(sf=sf, records=records, skeletons=skeletons)
 
 
-def dataset_key(sf: float) -> str:
-    """sha256 over what the skeletons are computed from: the queries' SQL,
-    the source of the table generators, the schema, the session settings
-    and the plan walk, and ``sf``."""
-    h = hashlib.sha256()
-    for q in QUERIES:
-        h.update(f"{q.name}\0{q.sql}\0".encode())
-    for module in (tpcds_lite, synth_data, features):
-        with open(module.__file__, "rb") as f:
-            h.update(f.read())
-    h.update(f"sf={sf!r}".encode())
-    return h.hexdigest()
+def load_dataset(sf: float, session, *, root: str = DEFAULT_CACHE) -> Dataset:
+    """The dataset for ``sf``, derived from the plan skeletons in
+    ``dataset_sf{sf}.json`` under ``root``.
 
-
-def _cache_path(sf: float, cache_root: str) -> str:
-    return os.path.join(cache_root, f"dataset_sf{sf}.json")
-
-
-def load_cached_dataset(sf: float, *, cache_root: str = DEFAULT_CACHE) -> Dataset | None:
-    """The cached dataset for ``sf``, or None if it is missing or its key
-    is not the code's."""
-    path = _cache_path(sf, cache_root)
+    A missing file is recorded first: ``session()`` materializes the tables
+    and compiles every query, so Spark starts only then. The file is
+    written whole or not at all, and a fresh record is read back like a
+    committed one.
+    """
+    path = os.path.join(root, f"dataset_sf{sf}.json")
     if not os.path.exists(path):
-        return None
+        spark = session()
+        materialize(spark, sf=sf, root=os.path.join(root, "data"))
+        queries = [
+            {"name": q.name, "skeleton": _skeleton_to_json(extract_skeleton(spark.sql(q.sql)))}
+            for q in QUERIES
+        ]
+        os.makedirs(root, exist_ok=True)
+        with open(path + ".tmp", "w") as f:
+            json.dump({"sf": sf, "queries": queries}, f)
+        os.replace(path + ".tmp", path)
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("key") != dataset_key(sf):
-        return None
     skeletons = {q["name"]: _skeleton_from_json(q["skeleton"]) for q in doc["queries"]}
     return dataset_from_skeletons(sf, skeletons)
-
-
-def build_dataset(spark, *, sf: float, cache_root: str = DEFAULT_CACHE) -> Dataset:
-    """Compile every query at ``sf``, cache the skeletons, derive the rest."""
-    materialize(spark, sf=sf, root=os.path.join(cache_root, "data"))
-    skeletons = {q.name: extract_skeleton(spark.sql(q.sql)) for q in QUERIES}
-    os.makedirs(cache_root, exist_ok=True)
-    with open(_cache_path(sf, cache_root), "w") as f:
-        json.dump(
-            {
-                "sf": sf,
-                "key": dataset_key(sf),
-                "queries": [
-                    {"name": name, "skeleton": _skeleton_to_json(skel)}
-                    for name, skel in skeletons.items()
-                ],
-            },
-            f,
-        )
-    return dataset_from_skeletons(sf, skeletons)
-
-
-def dataset_for_paper_sf(paper_sf: int, session) -> Dataset:
-    """Dataset for a paper scale factor (10 or 100) via the SF mapping:
-    from the cache when its key matches, else built with ``session()``,
-    so Spark starts only on a miss."""
-    sf = SF_MAP[paper_sf]
-    return load_cached_dataset(sf) or build_dataset(session(), sf=sf)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.core.selection import limited_slowdown
 from repro.experiments.common import Q94_ANALOGUE, Dataset
 
 #: the optimum's band over t_min: it absorbs run-to-run variance (§5.1
@@ -28,13 +29,7 @@ def tradeoff_curve(ds: Dataset, query: str = Q94_ANALOGUE) -> dict[int, dict[str
 
 def optimal_executor_counts(ds: Dataset) -> dict[str, int]:
     """query → smallest grid n with t(n) ≤ :data:`OPTIMUM_TOLERANCE` × t_min."""
-    out = {}
-    for r in ds.records:
-        t_min = min(r.actual_times.values())
-        out[r.name] = min(
-            n for n in sorted(r.actual_times) if r.actual_times[n] <= OPTIMUM_TOLERANCE * t_min
-        )
-    return out
+    return {r.name: limited_slowdown(r.actual_times, OPTIMUM_TOLERANCE) for r in ds.records}
 
 
 def optimal_executor_distribution(ds: Dataset) -> Counter:

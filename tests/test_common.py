@@ -1,13 +1,9 @@
 """Tests for the experiment infrastructure (dataset build + caching)."""
-import dataclasses
 import json
-import shutil
-from functools import partial
 
 import numpy as np
 import pytest
 
-from repro import synth_data
 from repro.cluster.taskgraph import build_task_graph
 from repro.core.features import PlanNode
 from repro.experiments import common
@@ -65,28 +61,6 @@ class TestSkeletonSerialization:
         assert back.children[0].size_bytes == 100
 
 
-class TestDatasetKey:
-    def test_deterministic_and_per_sf(self):
-        assert common.dataset_key(0.1) == common.dataset_key(0.1)
-        assert common.dataset_key(0.1) != common.dataset_key(0.01)
-
-    def test_changes_with_one_query_sql(self, monkeypatch):
-        before = common.dataset_key(0.1)
-        queries = list(common.QUERIES)
-        queries[7] = dataclasses.replace(queries[7], sql=queries[7].sql + " ")
-        monkeypatch.setattr(common, "QUERIES", queries)
-        assert common.dataset_key(0.1) != before
-
-    def test_changes_with_one_hashed_source_file(self, monkeypatch, tmp_path):
-        before = common.dataset_key(0.1)
-        copy = tmp_path / "synth_data.py"
-        shutil.copy(synth_data.__file__, copy)
-        monkeypatch.setattr(synth_data, "__file__", str(copy))
-        assert common.dataset_key(0.1) == before  # the content counts, not the path
-        copy.write_text(copy.read_text() + "\n# edited\n")
-        assert common.dataset_key(0.1) != before
-
-
 class _FakeSpark:
     """Stands in for a session: ``sql`` hands the query text to the
     patched plan walk, which makes a one-scan skeleton of it."""
@@ -107,43 +81,34 @@ def fake_spark(monkeypatch):
 
 
 class TestDatasetCache:
-    def test_missing_cache_returns_none(self, tmp_path):
-        assert common.load_cached_dataset(0.12345, cache_root=str(tmp_path)) is None
-
     def test_sf_mapping(self):
         assert common.SF_MAP == {10: 0.01, 100: 0.1}
 
     def test_build_then_load_round_trip(self, tmp_path, fake_spark):
-        built = common.build_dataset(fake_spark, sf=0.1, cache_root=str(tmp_path))
-        loaded = common.load_cached_dataset(0.1, cache_root=str(tmp_path))
-        assert [r.name for r in loaded.records] == [q.name for q in common.QUERIES]
-        assert loaded.records == built.records
-        with open(tmp_path / "dataset_sf0.1.json") as f:
-            doc = json.load(f)
-        assert doc["key"] == common.dataset_key(0.1)
-        assert set(doc["queries"][0]) == {"name", "skeleton"}
-
-    def test_wrong_key_is_rebuilt_not_served(self, tmp_path, fake_spark, monkeypatch):
-        root = str(tmp_path)
-        monkeypatch.setattr(common, "load_cached_dataset", partial(common.load_cached_dataset, cache_root=root))
-        monkeypatch.setattr(common, "build_dataset", partial(common.build_dataset, cache_root=root))
-        stale_leaf = common._skeleton_to_json(PlanNode("LogicalRelation", 7, 1, []))
-        path = tmp_path / "dataset_sf0.1.json"
-        path.write_text(json.dumps({
-            "sf": 0.1,
-            "key": "0" * 64,
-            "queries": [{"name": q.name, "skeleton": stale_leaf} for q in common.QUERIES],
-        }))
+        """A missing file is recorded with one session, then served without one."""
         sessions = []
 
         def session():
             sessions.append(fake_spark)
             return fake_spark
 
-        ds = common.dataset_for_paper_sf(100, session)
-        assert len(sessions) == 1  # the stale file made it rebuild
-        assert ds.skeletons[common.QUERIES[0].name].size_bytes == 10
-        assert json.loads(path.read_text())["key"] == common.dataset_key(0.1)
-        again = common.dataset_for_paper_sf(100, session)
-        assert len(sessions) == 1  # now served from the cache
-        assert again.records == ds.records
+        built = common.load_dataset(0.1, session, root=str(tmp_path))
+        assert len(sessions) == 1
+        assert [r.name for r in built.records] == [q.name for q in common.QUERIES]
+        doc = json.loads((tmp_path / "dataset_sf0.1.json").read_text())
+        assert set(doc) == {"sf", "queries"}
+        assert set(doc["queries"][0]) == {"name", "skeleton"}
+        loaded = common.load_dataset(0.1, session, root=str(tmp_path))
+        assert len(sessions) == 1
+        assert loaded.records == built.records
+
+    def test_interrupted_build_leaves_no_file(self, tmp_path, fake_spark, monkeypatch):
+        """A write that fails half way leaves nothing a later run would read."""
+
+        def interrupted(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(common.json, "dump", interrupted)
+        with pytest.raises(OSError):
+            common.load_dataset(0.1, lambda: fake_spark, root=str(tmp_path))
+        assert not (tmp_path / "dataset_sf0.1.json").exists()

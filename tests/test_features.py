@@ -1,4 +1,7 @@
 """Tests for the Table-2 featurizer over real Catalyst plans and skeletons."""
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,9 @@ from repro.core.features import (
     featurize_plan,
     plan_features,
 )
+from repro.experiments.common import DEFAULT_CACHE, _skeleton_from_json
 from repro.workloads.tpcds_lite import QUERIES, query_by_name
-from tests.snapshot import snapshot_records, snapshot_skeletons
+from tests.snapshot import SNAPSHOT, snapshot_records, snapshot_skeletons
 
 #: The ad-hoc SQL of this file, besides the TPC-DS-lite queries.
 ADHOC_SQL = (
@@ -26,6 +30,25 @@ ADHOC_SQL = (
 
 def featurize_sql(spark, sql):
     return featurize_plan(spark.sql(sql))
+
+
+#: the committed files whose skeletons the datasets are derived from
+COMMITTED_SKELETONS = {
+    "sf0.01": Path(DEFAULT_CACHE) / "dataset_sf0.01.json",
+    "sf0.1": Path(DEFAULT_CACHE) / "dataset_sf0.1.json",
+    "perfbench snapshot": SNAPSHOT,
+}
+
+
+def plan_shape(node: PlanNode) -> tuple:
+    """A skeleton without its sizes, which depend on sf and the parquet layout."""
+    return (node.name, node.width, tuple(plan_shape(c) for c in node.children))
+
+
+@pytest.fixture(scope="module")
+def compiled_shapes(spark, tpcds_tables) -> list[tuple[str, tuple]]:
+    """(query, the shape of the plan the code compiles), in workload order."""
+    return [(q.name, plan_shape(extract_skeleton(spark.sql(q.sql)))) for q in QUERIES]
 
 
 def walk_from_python(node) -> PlanNode:
@@ -147,6 +170,15 @@ class TestSkeleton:
             df = spark.sql(sql)
             reference = walk_from_python(df._jdf.queryExecution().optimizedPlan())
             assert extract_skeleton(df) == reference, sql
+
+    @pytest.mark.parametrize("committed", list(COMMITTED_SKELETONS))
+    def test_committed_skeletons_have_compiled_shape(self, compiled_shapes, committed):
+        """Every committed skeleton is the plan the code compiles, up to sizes."""
+        queries = json.loads(COMMITTED_SKELETONS[committed].read_text())["queries"]
+        stored = [(q["name"], plan_shape(_skeleton_from_json(q["skeleton"]))) for q in queries]
+        assert [name for name, _ in stored] == [name for name, _ in compiled_shapes]
+        differ = [name for (name, s), (_, c) in zip(stored, compiled_shapes) if s != c]
+        assert differ == []
 
     def test_call_count_independent_of_plan_size(self, spark, tpcds_tables, monkeypatch):
         """A fixed number of py4j calls per plan, not a per-node walk."""

@@ -12,7 +12,7 @@ import pytest
 from repro.cluster.allocation import PredictiveRule, StaticAllocation
 from repro.cluster.simulator import simulate
 from repro.core.autoexecutor import AutoExecutorRule, train_and_register
-from repro.experiments.common import build_dataset, load_cached_dataset
+from repro.experiments.common import load_dataset
 from repro.ml.portable import ModelRegistry
 from repro.workloads.tpcds_lite import query_by_name
 
@@ -22,8 +22,12 @@ from tests.conftest import TEST_SF
 @pytest.fixture(scope="module")
 def dataset(spark, tpcds_tables, tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("ds_cache"))
-    ds = build_dataset(spark, sf=TEST_SF, cache_root=cache)
+    ds = load_dataset(TEST_SF, lambda: spark, root=cache)
     return ds, cache
+
+
+def no_spark():
+    raise AssertionError("the recorded dataset was not served")
 
 
 class TestDatasetBuild:
@@ -50,8 +54,7 @@ class TestDatasetBuild:
 
     def test_cache_roundtrip(self, dataset):
         ds, cache = dataset
-        again = load_cached_dataset(TEST_SF, cache_root=cache)
-        assert again is not None
+        again = load_dataset(TEST_SF, no_spark, root=cache)
         assert len(again.records) == 103
         assert again.records[0].actual_times == ds.records[0].actual_times
         g = again.graph(again.records[0].name)

@@ -59,12 +59,14 @@ def digest(table) -> str:
 
 @functools.cache
 def dataset(sf: float) -> common.Dataset:
-    """The snapshot's stored records at sf=0.1, the cached dataset at sf=0.01."""
+    """The snapshot's stored records at sf=0.1, the committed dataset at sf=0.01."""
     if sf == 0.1:
         return common.Dataset(sf=sf, records=snapshot_records(), skeletons=snapshot_skeletons())
-    ds = common.load_cached_dataset(sf)
-    assert ds is not None, f"the committed sf={sf} cache is missing or stale"
-    return ds
+    return common.load_dataset(sf, no_spark)
+
+
+def no_spark():
+    raise AssertionError("the committed sf=0.01 dataset is missing")
 
 
 @functools.cache

@@ -1,15 +1,12 @@
 """The section table of ``jobs/run_all.py``, checked without Spark."""
 import importlib
 import inspect
-import json
 import pkgutil
 
 import pytest
 
 import repro.experiments
 from jobs import run_all
-from repro.core.training import run_cross_validation
-from repro.experiments import common
 from repro.experiments.common import SF_MAP
 
 
@@ -45,24 +42,14 @@ def test_unknown_section_rejected_with_the_valid_ones():
 
 
 def test_warm_section_starts_no_spark(monkeypatch, capsys):
-    """On the committed dataset cache, a section that needs no session
-    runs without starting Spark (the CV is cut to 2×3 for speed)."""
-    with open(common._cache_path(0.1, common.DEFAULT_CACHE)) as f:
-        key = json.load(f)["key"]
-    assert key == common.dataset_key(0.1), "the committed sf=0.1 dataset is stale; rebuild it"
+    """On the committed datasets, a section that needs no session runs
+    without starting Spark."""
 
     def no_spark():
-        raise AssertionError("get_session called on a warm cache")
+        raise AssertionError("get_session called on the committed datasets")
 
     monkeypatch.setattr(run_all, "get_session", no_spark)
-    monkeypatch.setattr(
-        common,
-        "run_cross_validation",
-        lambda records, *, family, **_: run_cross_validation(
-            records, family=family, repeats=2, folds=3
-        ),
-    )
-    run_all.main(["prediction"])
+    run_all.main(["ground_truth"])
     out, err = capsys.readouterr()
-    assert "== Fig 9: E(n) from 10-repeated 5-fold CV ==" in out
-    assert err.startswith("prediction: ")
+    assert "== Fig 3c: optimal executor count distribution ==" in out
+    assert err.startswith("ground_truth: ")
